@@ -570,7 +570,7 @@ fn run_dataset(
             )
             .int("server_batches", stats.batches)
             .num("mean_batch_width", batch_width)
-            .int("epoch", stats.epoch as u64)
+            .int("epoch", server.epoch() as u64)
             .bool("obs_enabled", true)
             .bool("server_p99_le_client_p99", true)
             .bool("counts_verified", true)
@@ -1726,7 +1726,7 @@ struct ZipfRun {
     p50: f64,
     p99: f64,
     counts: Vec<u64>,
-    stats: act_serve::ServeStats,
+    stats: act_serve::CounterBlock,
 }
 
 /// One fresh single-worker server — with or without the cache — plus a
@@ -1761,7 +1761,7 @@ struct ZipfBench {
     frame: usize,
     workload_len: usize,
     counts: Vec<u64>,
-    warm: act_serve::ServeStats,
+    warm: act_serve::CounterBlock,
     best: Option<(f64, Vec<f64>)>,
 }
 
@@ -2036,7 +2036,7 @@ struct FairnessRun {
     greedy_shed_frames: u64,
     greedy_counts: Vec<u64>,
     greedy_goodput: f64,
-    stats: act_serve::ServeStats,
+    stats: act_serve::CounterBlock,
 }
 
 impl FairnessRun {

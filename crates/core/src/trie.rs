@@ -192,17 +192,7 @@ impl RawTrie<'_> {
 
     /// See [`Act::lookup_batch`].
     pub(crate) fn lookup_batch(self, queries: &[CellId], out: &mut [Probe]) {
-        assert_eq!(
-            queries.len(),
-            out.len(),
-            "lookup_batch: queries/out length mismatch"
-        );
-        for (q, o) in queries
-            .chunks(MAX_PROBE_BLOCK)
-            .zip(out.chunks_mut(MAX_PROBE_BLOCK))
-        {
-            self.lookup_block(q, o);
-        }
+        self.walk_batch::<false>(queries, out, &mut []);
     }
 
     /// See [`Act::lookup_batch_depths`].
@@ -214,43 +204,65 @@ impl RawTrie<'_> {
     ) {
         assert_eq!(
             queries.len(),
-            out.len(),
-            "lookup_batch_depths: queries/out length mismatch"
-        );
-        assert_eq!(
-            queries.len(),
             depths.len(),
             "lookup_batch_depths: queries/depths length mismatch"
         );
-        for ((q, o), d) in queries
+        self.walk_batch::<true>(queries, out, depths);
+    }
+
+    /// The batched walk in blocks of [`MAX_PROBE_BLOCK`] lanes. With
+    /// `DEPTHS` off, `depths` is empty and never touched.
+    fn walk_batch<const DEPTHS: bool>(
+        self,
+        queries: &[CellId],
+        out: &mut [Probe],
+        depths: &mut [u8],
+    ) {
+        assert_eq!(
+            queries.len(),
+            out.len(),
+            "lookup_batch: queries/out length mismatch"
+        );
+        for (b, (q, o)) in queries
             .chunks(MAX_PROBE_BLOCK)
             .zip(out.chunks_mut(MAX_PROBE_BLOCK))
-            .zip(depths.chunks_mut(MAX_PROBE_BLOCK))
+            .enumerate()
         {
-            self.lookup_block_depths(q, o, d);
+            let d = if DEPTHS {
+                &mut depths[b * MAX_PROBE_BLOCK..b * MAX_PROBE_BLOCK + q.len()]
+            } else {
+                &mut []
+            };
+            self.walk_block::<DEPTHS>(q, o, d);
         }
     }
 
-    /// [`RawTrie::lookup_block`] with per-lane termination depths: the
-    /// same level-synchronous walk (lanes advance one level together,
-    /// resolved lanes compacted out, so the memory-level parallelism
-    /// the batched probe exists for is preserved), plus one byte store
-    /// per lane recording how many node accesses the walk made —
-    /// 0 for an empty root face, 1..=7 otherwise. This is the serving
-    /// pipeline's probed-cell-depth instrumentation hook; the
-    /// depth histogram it feeds is what ROADMAP's prefetch and
-    /// hot-cell-cache items will be judged against.
-    fn lookup_block_depths(self, queries: &[CellId], out: &mut [Probe], depths: &mut [u8]) {
+    /// One level-synchronous block (≤ [`MAX_PROBE_BLOCK`] lanes): lanes
+    /// advance one level together and resolved lanes are compacted out,
+    /// so the core keeps many independent misses in flight. With
+    /// `DEPTHS` on, one byte store per lane per level also records how
+    /// many node accesses the lane made — 0 for an empty root face,
+    /// 1..=7 otherwise — for the serving pipeline's probe-depth
+    /// histogram; with it off the walk carries no depth stores at all.
+    fn walk_block<const DEPTHS: bool>(
+        self,
+        queries: &[CellId],
+        out: &mut [Probe],
+        depths: &mut [u8],
+    ) {
         let n = queries.len();
         debug_assert!(n <= MAX_PROBE_BLOCK);
         let mut node = [0u32; MAX_PROBE_BLOCK];
         let mut key = [0u64; MAX_PROBE_BLOCK];
+        // Active lane ids, compacted as lanes resolve.
         let mut lanes = [0u16; MAX_PROBE_BLOCK];
         let mut live = 0usize;
         for (i, (&q, o)) in queries.iter().zip(out.iter_mut()).enumerate() {
             let root = self.roots[(q.0 >> 61) as usize];
             *o = Probe::Miss;
-            depths[i] = 0;
+            if DEPTHS {
+                depths[i] = 0;
+            }
             if root != 0 {
                 node[i] = root;
                 key[i] = q.0 << 3;
@@ -268,56 +280,11 @@ impl RawTrie<'_> {
                 let b = (key[i] >> 56) as usize;
                 key[i] <<= 8;
                 let e = self.slots[node[i] as usize * FANOUT + b];
-                if e & TAG_MASK == TAG_CHILD {
-                    let idx = (e >> 2) as u32;
-                    if idx != 0 {
-                        node[i] = idx;
-                        lanes[kept] = i as u16;
-                        kept += 1;
-                        // Depth advances with the lane: a lane that runs
-                        // off the key after 7 levels keeps depth 7.
-                        depths[i] = depth;
-                    } else {
-                        depths[i] = depth; // resolved Miss at this level
-                    }
-                } else {
-                    out[i] = Probe::from_entry(e);
+                // Depth advances with the lane: a lane that runs off the
+                // key after 7 levels keeps depth 7.
+                if DEPTHS {
                     depths[i] = depth;
                 }
-            }
-            live = kept;
-        }
-    }
-
-    /// One level-synchronous block (≤ [`MAX_PROBE_BLOCK`] lanes).
-    fn lookup_block(self, queries: &[CellId], out: &mut [Probe]) {
-        let n = queries.len();
-        debug_assert!(n <= MAX_PROBE_BLOCK);
-        let mut node = [0u32; MAX_PROBE_BLOCK];
-        let mut key = [0u64; MAX_PROBE_BLOCK];
-        // Active lane ids, compacted as lanes resolve.
-        let mut lanes = [0u16; MAX_PROBE_BLOCK];
-        let mut live = 0usize;
-        for (i, (&q, o)) in queries.iter().zip(out.iter_mut()).enumerate() {
-            let root = self.roots[(q.0 >> 61) as usize];
-            *o = Probe::Miss;
-            if root != 0 {
-                node[i] = root;
-                key[i] = q.0 << 3;
-                lanes[live] = i as u16;
-                live += 1;
-            }
-        }
-        for _ in 0..7 {
-            if live == 0 {
-                return;
-            }
-            let mut kept = 0usize;
-            for j in 0..live {
-                let i = lanes[j] as usize;
-                let b = (key[i] >> 56) as usize;
-                key[i] <<= 8;
-                let e = self.slots[node[i] as usize * FANOUT + b];
                 if e & TAG_MASK == TAG_CHILD {
                     let idx = (e >> 2) as u32;
                     if idx != 0 {

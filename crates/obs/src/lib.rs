@@ -11,8 +11,6 @@
 //!   with p50/p90/p99/p999 extraction and a `merge()` mirroring the
 //!   serve protocol's `CounterBlock::merge` — per-shard histograms sum
 //!   bucket-wise into a fleet view with no loss beyond bucket width.
-//! * [`StageClock`] — a monotonic lap timer for attributing one
-//!   request's wall time to pipeline stages.
 //! * [`TraceRing`] + [`Sampler`] — a bounded ring of structured trace
 //!   events with seeded 1-in-N admission sampling, dumped as JSON
 //!   lines (the serve DUMP op and the SIGINT drain both read it).
@@ -24,13 +22,11 @@
 
 #![forbid(unsafe_code)]
 
-mod clock;
 mod hist;
 mod http;
 mod prom;
 mod trace;
 
-pub use clock::StageClock;
 pub use hist::{bucket_lower_bound, bucket_of, Histogram, HistogramSnapshot, NUM_BUCKETS};
 pub use http::{scrape, MetricsServer};
 pub use prom::PromText;

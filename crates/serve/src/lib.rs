@@ -73,7 +73,7 @@ pub use client::{Client, ClientError, ResilientClient, RetryPolicy};
 pub use obs::{ObsConfig, PipelineObs};
 pub use protocol::{CounterBlock, PingReply, ProbeReply, StatsExReply, StatsReply};
 pub use router::{Router, RouterConfig, RouterHandle};
-pub use server::{ServeConfig, ServeError, ServeStats, Server, ServerHandle};
+pub use server::{ServeConfig, ServeError, Server, ServerHandle};
 pub use swap::{delta_path, IndexStore, ServeIndex, WatchCounters, FOLD_AFTER_DELTAS};
 
 #[cfg(test)]
@@ -144,9 +144,97 @@ mod tests {
 
         let stats = server.stats();
         assert_eq!(stats.probes, coords.len() as u64);
-        assert_eq!(stats.requests, 3);
+        assert_eq!(stats.accepted + stats.bad_frames, 3);
         assert!(stats.batches >= 1);
         assert_eq!(stats.accepted, stats.answered + stats.shed);
+        server.shutdown();
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Every counter-table row is on a live server's `/metrics` under
+    /// its name, type and HELP text with the server's value, and
+    /// `merge` follows the row's rule.
+    #[test]
+    fn counter_table_drives_metrics_and_merge() {
+        let (path, _idx) = snap_file("table", &[square(-74.0, 40.7, 0.02)]);
+        let server = Server::spawn(
+            &path,
+            ServeConfig {
+                watch: None,
+                ..ServeConfig::default()
+            },
+        )
+        .unwrap();
+        Client::connect(server.addr())
+            .unwrap()
+            .probe(&[Coord::new(-74.0, 40.7)], false)
+            .unwrap();
+        let metrics = act_obs::MetricsServer::spawn("127.0.0.1:0", server.metrics_fn()).unwrap();
+        let text = act_obs::scrape(metrics.addr()).unwrap();
+        let stats = server.stats();
+        assert!(stats.probes > 0);
+
+        let mut merged = CounterBlock::from_words([3; CounterBlock::WORDS]);
+        merged.merge(&CounterBlock::from_words([5; CounterBlock::WORDS]));
+        for ((row, v), m) in protocol::COUNTERS
+            .iter()
+            .zip(stats.words())
+            .zip(merged.words())
+        {
+            let (metric, kind, want) = match row.merge {
+                protocol::Merge::Sum => (format!("act_{}_total", row.name), "counter", 8),
+                protocol::Merge::Max => (format!("act_{}", row.name), "gauge", 5),
+            };
+            for line in [
+                format!("# HELP {metric} {}", row.help),
+                format!("# TYPE {metric} {kind}"),
+                format!("{metric} {v}"),
+            ] {
+                assert!(text.lines().any(|l| l == line), "/metrics lacks {line:?}");
+            }
+            assert_eq!(m, want, "{} merges by {:?}", row.name, row.merge);
+        }
+        metrics.shutdown();
+        server.shutdown();
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Plain PING/STATS report the windowed high-water mark without
+    /// resetting it; only the flagged read takes it.
+    #[test]
+    fn plain_reads_keep_the_window_mark() {
+        let (path, _idx) = snap_file("window", &[square(-74.0, 40.7, 0.02)]);
+        let server = Server::spawn(
+            &path,
+            ServeConfig {
+                watch: None,
+                ..ServeConfig::default()
+            },
+        )
+        .unwrap();
+        let mut client = Client::connect(server.addr()).unwrap();
+        let coords: Vec<Coord> = (0..64)
+            .map(|k| Coord::new(-74.0 + 0.0001 * k as f64, 40.7))
+            .collect();
+        client.probe(&coords, false).unwrap();
+        let mark = client.stats().unwrap().counters.window_high_water_lanes;
+        assert!(mark > 0, "the probe frame marks the window");
+        assert_eq!(
+            client.ping().unwrap().counters.window_high_water_lanes,
+            mark
+        );
+        assert_eq!(
+            client.stats().unwrap().counters.window_high_water_lanes,
+            mark
+        );
+        assert_eq!(
+            client.stats_ex().unwrap().counters.window_high_water_lanes,
+            mark
+        );
+        assert_eq!(
+            client.stats_ex().unwrap().counters.window_high_water_lanes,
+            0
+        );
         server.shutdown();
         std::fs::remove_file(&path).unwrap();
     }

@@ -121,85 +121,16 @@ pub(crate) fn render_counters(
         labels,
         f64::from(epoch),
     );
-    for (name, help, v) in [
-        ("act_probes_total", "Probe points answered.", c.probes),
-        (
-            "act_accepted_total",
-            "Well-formed frames taken in.",
-            c.accepted,
-        ),
-        (
-            "act_answered_total",
-            "Frames answered with a real reply.",
-            c.answered,
-        ),
-        ("act_shed_total", "Probe frames answered LOADSHED.", c.shed),
-        (
-            "act_bad_frames_total",
-            "Malformed frames answered BAD_REQUEST.",
-            c.bad_frames,
-        ),
-        (
-            "act_busy_total",
-            "Connections refused BUSY at the accept gate.",
-            c.busy,
-        ),
-        (
-            "act_batches_total",
-            "Probe micro-batches executed.",
-            c.batches,
-        ),
-        ("act_swaps_total", "Successful index publishes.", c.swaps),
-        (
-            "act_delta_applies_total",
-            "Delta files applied onto the live index.",
-            c.delta_applies,
-        ),
-        (
-            "act_watch_errors_total",
-            "Transient snapshot-watcher IO errors.",
-            c.watch_errors,
-        ),
-        (
-            "act_quarantines_total",
-            "Delta files quarantined by the watcher.",
-            c.quarantines,
-        ),
-        (
-            "act_panics_contained_total",
-            "Worker panics contained to one batch.",
-            c.panics_contained,
-        ),
-        (
-            "act_cache_hits_total",
-            "Probed cells answered from the hot-cell result cache.",
-            c.cache_hits,
-        ),
-        (
-            "act_cache_misses_total",
-            "Probed cells that missed the hot-cell cache and walked the trie.",
-            c.cache_misses,
-        ),
-        (
-            "act_quota_sheds_total",
-            "Probe frames shed by the per-client fairness quota.",
-            c.quota_sheds,
-        ),
-    ] {
-        page.counter(name, help, labels, v);
+    for (row, v) in proto::COUNTERS.iter().zip(c.words()) {
+        match row.merge {
+            proto::Merge::Sum => {
+                page.counter(&format!("act_{}_total", row.name), row.help, labels, v)
+            }
+            proto::Merge::Max => {
+                page.gauge(&format!("act_{}", row.name), row.help, labels, v as f64)
+            }
+        }
     }
-    page.gauge(
-        "act_queue_high_water_lanes",
-        "Highest queue occupancy since start, in lanes.",
-        labels,
-        c.queue_high_water_lanes as f64,
-    );
-    page.gauge(
-        "act_window_high_water_lanes",
-        "Highest queue occupancy since the last flagged STATS read, in lanes.",
-        labels,
-        c.window_high_water_lanes as f64,
-    );
 }
 
 /// Renders stage histograms into `page` under `labels`. Time stages

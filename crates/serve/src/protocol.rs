@@ -32,8 +32,9 @@
 //!            approx mode: hit_bit = is_true_hit (candidates ride along
 //!            with bit 0 — the paper's ε-bounded approximate answer)
 //!            exact mode:  only actual members are listed, hit_bit = 1
-//!   PING / STATS: a counter block (see [`CounterBlock`])
-//!   STATS+HISTOGRAMS: an extended counter block followed by a stage
+//!   PING / STATS: a counter block, u32 n then n × u64 (see
+//!          [`encode_counters`])
+//!   STATS+HISTOGRAMS: the same counter block followed by a stage
 //!          histogram section (see [`encode_stats_ex_payload`])
 //!   DUMP:  UTF-8 JSON lines, one sampled trace event per line (n = 0)
 //!   LOADSHED / BUSY: optionally a u32 retry_after_ms hint (n stays 0)
@@ -48,61 +49,16 @@
 //!
 //! ## Versioning
 //!
-//! [`PROTOCOL_VERSION`] is 3. The frame and header layouts are unchanged
-//! since version 1; each bump adds payload, never reshapes it, so the
-//! versions are compatible in both directions.
-//!
-//! Version 2 over version 1:
-//!
-//! * The PING/STATS counter block grew from ten to thirteen `u64` words
-//!   (`watch_errors`, `quarantines`, `panics_contained`). A version-2
-//!   client still accepts the 80-byte version-1 block and reads the
-//!   missing counters as zero ([`decode_counters`]).
-//! * `LOADSHED`/`BUSY` replies may now carry a 4-byte `retry_after_ms`
-//!   payload. Version-1 replies carried none; [`decode_retry_after`]
-//!   maps an empty payload to "no hint". Version-1 clients that ignore
-//!   reject payloads (the documented contract) are unaffected.
-//!
-//! Version 3 over version 2 — everything new is **opt-in by request**,
-//! so an older peer never sees a payload shape it cannot parse:
-//!
-//! * STATS accepts [`FLAG_HISTOGRAMS`]; the flagged reply carries a
-//!   fourteen-word extended counter block (adding
-//!   `window_high_water_lanes`, the queue high-water mark since the
-//!   previous flagged STATS read) plus a per-stage latency histogram
-//!   section ([`encode_stats_ex_payload`] / [`decode_stats_ex_payload`]).
-//!   A **plain** STATS (or PING) reply still carries the 104-byte
-//!   version-2 block, which version-2 clients parse unchanged; a
-//!   version-2 server answers a flagged STATS `BAD_REQUEST` (its
-//!   decoder requires zero flags), which a version-3 client can detect
-//!   and downgrade from. [`decode_counters`] accepts all three block
-//!   sizes (80/104/112).
-//! * `OP_DUMP` requests the server's sampled trace ring as UTF-8 JSON
-//!   lines (non-destructive). A version-2 server answers it
-//!   `BAD_REQUEST` (unknown op); a version-2 client never sends it.
-//!
-//! Version 4 over version 3 — again additive, again opt-in by request:
-//!
-//! * The extended counter block grew from fourteen to seventeen words
-//!   (the hot-cell cache hit/miss counters and the fairness-quota shed
-//!   counter — `cache_hits`, `cache_misses`, `quota_sheds`), following
-//!   the same append-only rule: [`decode_counters`] accepts all four
-//!   block sizes (80/104/112/136) and reads absent counters as zero,
-//!   and the plain PING/STATS block stays thirteen words. The flagged
-//!   STATS payload leads with the seventeen-word block
-//!   ([`COUNTER_BLOCK_LEN_V4`]).
-//! * PROBE accepts [`FLAG_CELLS`]: the payload is `n` pre-computed S2
-//!   leaf cell ids (`n × u64`) instead of `n` coordinate pairs. The
-//!   client pays the coordinate→cell conversion once at encode time and
-//!   the server skips it entirely — the standard S2 serving idiom, and
-//!   the variant the hot-cell cache is fastest against. Cell frames are
-//!   approximate-only: `FLAG_CELLS | FLAG_EXACT` is `BAD_REQUEST`,
-//!   because refinement tests the *coordinate* against real polygon
-//!   boundaries and a cell id no longer carries one. Arbitrary `u64`
-//!   values are safe — a garbage id prefix-matches nothing in the trie
-//!   and resolves to an empty answer. A version-3 server rejects the
-//!   unknown flag (`BAD_REQUEST`), which a client can detect and
-//!   downgrade from; a version-3 client never sets it.
+//! [`PROTOCOL_VERSION`] is 5. The frame and header layouts are unchanged
+//! since version 1. Since version 5, PING, STATS and flagged STATS carry
+//! one self-describing counter block: `u32 n` followed by `n` `u64`
+//! words, one per [`COUNTERS`] row in table order. A decoder keeps the
+//! prefix it knows, reads counters the block lacks as zero (an older
+//! peer) and skips words past its own table (a newer peer), so adding a
+//! counter appends one row and never bumps the version; a block whose
+//! `n` claims more words than the payload holds is an error. The
+//! length-keyed blocks of versions 1–4 (10, 13, 14 and 17 bare words)
+//! are no longer decoded: every peer is built from this repository.
 //!
 //! ## Admission-control statuses
 //!
@@ -122,8 +78,8 @@ use s2cell::CellId;
 use std::io::{self, Read, Write};
 
 /// Wire protocol version implemented by this build (see the module docs'
-/// "Versioning" section for what changed and why it is compatible).
-pub const PROTOCOL_VERSION: u32 = 4;
+/// "Versioning" section).
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// Probe a batch of coordinates.
 pub const OP_PROBE: u8 = 1;
@@ -144,10 +100,8 @@ pub const FLAG_EXACT: u8 = 1;
 /// Mutually exclusive with [`FLAG_EXACT`] — refinement needs the
 /// coordinate, which a cell id no longer carries.
 pub const FLAG_CELLS: u8 = 2;
-/// STATS request flag bit 0: append the extended counter block and the
-/// stage histogram section to the reply (version 3+). Deliberately a
-/// *request* flag: a version-2 client never sets it, so it never
-/// receives the longer payload its decoder would reject.
+/// STATS request flag bit 0: append the stage histogram section to the
+/// reply's counter block, and take (reset) the windowed high-water mark.
 pub const FLAG_HISTOGRAMS: u8 = 1;
 
 /// Response status codes.
@@ -207,8 +161,8 @@ pub enum Request {
     /// Liveness check; the response carries epoch + the counter block.
     Ping,
     /// Counter/metrics snapshot; without `histograms` the response
-    /// shape matches [`Request::Ping`], with it the payload is the
-    /// extended block + stage histogram section.
+    /// shape matches [`Request::Ping`], with it the counter block is
+    /// followed by the stage histogram section.
     Stats {
         /// [`FLAG_HISTOGRAMS`] was set.
         histograms: bool,
@@ -251,8 +205,8 @@ pub struct StatsReply {
     pub counters: CounterBlock,
 }
 
-/// A decoded **flagged** stats response (protocol v3): the extended
-/// counter block plus the per-stage histogram section. The section is
+/// A decoded **flagged** stats response: the counter block plus the
+/// per-stage histogram section. The section is
 /// empty when the answering server runs without observability — the
 /// counters (including the windowed high-water mark, which this read
 /// consumed) are still meaningful.
@@ -260,112 +214,169 @@ pub struct StatsReply {
 pub struct StatsExReply {
     /// Snapshot epoch currently serving.
     pub epoch: u32,
-    /// The extended serving counter block.
+    /// The serving counter block.
     pub counters: CounterBlock,
     /// Per-stage histograms (merged across shards when a router
     /// answered).
     pub histograms: Vec<StageHistogram>,
 }
 
-/// The server's aggregate serving counters, as carried in PING and STATS
-/// payloads: thirteen little-endian `u64` words, in field order, plus a
-/// fourteenth (`window_high_water_lanes`) present only in the extended
-/// block a flagged STATS returns.
-///
-/// Reconciliation invariant (after a graceful drain, with all replies
-/// delivered): `accepted == answered + shed` — every accepted frame got
-/// exactly one reply, and a shed frame is always answered `LOADSHED`,
-/// never silently dropped. The invariant holds through worker panics:
-/// a poisoned batch answers its frames `INTERNAL`, which still counts
-/// toward `answered`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CounterBlock {
-    /// Probe points answered (sum of lanes over answered probe frames).
-    pub probes: u64,
-    /// Well-formed frames taken in (probe, ping, stats — shed included).
-    pub accepted: u64,
-    /// Frames answered with a real (non-LOADSHED) reply.
-    pub answered: u64,
-    /// Probe frames answered `LOADSHED` because the queue was full.
-    pub shed: u64,
-    /// Malformed frames answered `BAD_REQUEST` (connection then closed).
-    pub bad_frames: u64,
-    /// Connections refused with `BUSY` at the accept gate.
-    pub busy: u64,
-    /// Probe micro-batches executed (`probes / batches` = mean width).
-    pub batches: u64,
-    /// Successful index publishes (`epoch - 1`): full snapshot
-    /// hot-swaps plus delta applies.
-    pub swaps: u64,
-    /// Highest queue occupancy observed, in lanes (points). Bounded by
-    /// the server's configured queue depth.
-    pub queue_high_water_lanes: u64,
-    /// Delta files applied onto the live index (a subset of `swaps` —
-    /// the updates that arrived without remapping the base snapshot).
-    pub delta_applies: u64,
-    /// Transient IO errors hit by the snapshot watcher while statting or
-    /// reading (each one also widens the watcher's retry backoff; they
-    /// are no longer silently treated as "no change").
-    pub watch_errors: u64,
-    /// Corrupt or wrong-chain delta files the watcher renamed to
-    /// `*.quarantine` and skipped, keeping the current epoch serving.
-    pub quarantines: u64,
-    /// Worker-thread panics contained by `catch_unwind`: each one
-    /// poisoned a single batch (its frames were answered `INTERNAL`)
-    /// instead of the process.
-    pub panics_contained: u64,
-    /// Queue high-water mark (lanes) **since the previous flagged STATS
-    /// read** — unlike `queue_high_water_lanes`, which is since server
-    /// start and goes stale after a one-off spike, this one resets to
-    /// the live occupancy baseline on every read, so a dashboard sees
-    /// recent pressure, not history. Version 3+, carried only in the
-    /// extended block; decodes as zero from older blocks.
-    pub window_high_water_lanes: u64,
-    /// Hot-cell cache hits: probed cells answered from the epoch-keyed
-    /// result cache without a trie walk. Zero on servers running with
-    /// the cache disabled. Version 4+, extended block only.
-    pub cache_hits: u64,
-    /// Hot-cell cache misses: probed cells that walked the trie (and
-    /// filled the cache, when enabled). With the cache disabled both
-    /// cache counters stay zero — a miss is counted only when the cache
-    /// was actually consulted. Version 4+, extended block only.
-    pub cache_misses: u64,
-    /// Probe frames answered `LOADSHED` by the **per-client fairness
-    /// quota** (the connection already had its full admitted-lanes
-    /// budget in flight) rather than by queue depth. Always a subset of
-    /// `shed` — the reconciliation invariant is unchanged. Version 4+,
-    /// extended block only.
-    pub quota_sheds: u64,
+/// Declares the serving counters once. Each row is a [`CounterBlock`]
+/// field with its docs, its merge rule (`sum` for a monotonic total,
+/// `max` for a high-water mark) and its `/metrics` HELP text; row order
+/// is wire order. The table generates the struct, [`COUNTERS`],
+/// [`CounterBlock::merge`] and the word conversions the wire codec and
+/// the `/metrics` renderer use, so a new counter is one new row.
+macro_rules! counter_table {
+    (
+        $(#[$meta:meta])*
+        pub struct CounterBlock {
+            $( $(#[$fmeta:meta])* $field:ident: $rule:ident = $help:literal, )*
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct CounterBlock {
+            $( $(#[$fmeta])* pub $field: u64, )*
+        }
+
+        /// The counter table: one row per [`CounterBlock`] field, in wire
+        /// order.
+        pub const COUNTERS: [Counter; CounterBlock::WORDS] = [
+            $( Counter {
+                name: stringify!($field),
+                help: $help,
+                merge: counter_table!(@rule $rule),
+            }, )*
+        ];
+
+        impl CounterBlock {
+            /// Number of counters in this build's table (the `n` of every
+            /// block it encodes).
+            pub const WORDS: usize = [$(stringify!($field)),*].len();
+
+            /// Folds another block into this one for a fleet-wide view
+            /// (the router's merged PING/STATS reply), each counter by
+            /// its row's [`Merge`] rule.
+            pub fn merge(&mut self, other: &CounterBlock) {
+                $( self.$field = counter_table!(@rule $rule).apply(self.$field, other.$field); )*
+            }
+
+            /// The counters in table (wire) order.
+            pub fn words(&self) -> [u64; CounterBlock::WORDS] {
+                [$(self.$field),*]
+            }
+
+            /// The inverse of [`CounterBlock::words`].
+            pub fn from_words(words: [u64; CounterBlock::WORDS]) -> CounterBlock {
+                let [$($field),*] = words;
+                CounterBlock { $($field),* }
+            }
+        }
+    };
+    (@rule sum) => { Merge::Sum };
+    (@rule max) => { Merge::Max };
 }
 
-impl CounterBlock {
-    /// Folds another block into this one for a fleet-wide view (the
-    /// router's merged PING/STATS reply). Every counter is a monotonic
-    /// total and sums, except the two high-water marks
-    /// (`queue_high_water_lanes`, `window_high_water_lanes`) — the
-    /// merged value is the worst shard's.
-    pub fn merge(&mut self, other: &CounterBlock) {
-        self.probes += other.probes;
-        self.accepted += other.accepted;
-        self.answered += other.answered;
-        self.shed += other.shed;
-        self.bad_frames += other.bad_frames;
-        self.busy += other.busy;
-        self.batches += other.batches;
-        self.swaps += other.swaps;
-        self.queue_high_water_lanes = self
-            .queue_high_water_lanes
-            .max(other.queue_high_water_lanes);
-        self.delta_applies += other.delta_applies;
-        self.watch_errors += other.watch_errors;
-        self.quarantines += other.quarantines;
-        self.panics_contained += other.panics_contained;
-        self.window_high_water_lanes = self
-            .window_high_water_lanes
-            .max(other.window_high_water_lanes);
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.quota_sheds += other.quota_sheds;
+/// One row of the counter table ([`COUNTERS`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Counter {
+    /// The [`CounterBlock`] field name. `/metrics` shows a `Sum` row as
+    /// the counter `act_<name>_total` and a `Max` row as the gauge
+    /// `act_<name>`.
+    pub name: &'static str,
+    /// The `/metrics` HELP text.
+    pub help: &'static str,
+    /// How two peers' values combine.
+    pub merge: Merge,
+}
+
+/// How [`CounterBlock::merge`] combines one counter across peers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Merge {
+    /// A monotonic total: values add.
+    Sum,
+    /// A high-water mark: the worst peer's value wins.
+    Max,
+}
+
+impl Merge {
+    /// Combines two peers' values of one counter.
+    fn apply(self, a: u64, b: u64) -> u64 {
+        match self {
+            Merge::Sum => a + b,
+            Merge::Max => a.max(b),
+        }
+    }
+}
+
+counter_table! {
+    /// The server's aggregate serving counters, as carried in PING and
+    /// STATS payloads (see [`encode_counters`]).
+    ///
+    /// Reconciliation invariant (after a graceful drain, with all replies
+    /// delivered): `accepted == answered + shed` — every accepted frame got
+    /// exactly one reply, and a shed frame is always answered `LOADSHED`,
+    /// never silently dropped. The invariant holds through worker panics:
+    /// a poisoned batch answers its frames `INTERNAL`, which still counts
+    /// toward `answered`.
+    pub struct CounterBlock {
+        /// Probe points answered (sum of lanes over answered probe frames).
+        probes: sum = "Probe points answered.",
+        /// Well-formed frames taken in (probe, ping, stats — shed included).
+        accepted: sum = "Well-formed frames taken in.",
+        /// Frames answered with a real (non-LOADSHED) reply.
+        answered: sum = "Frames answered with a real reply.",
+        /// Probe frames answered `LOADSHED` because the queue was full.
+        shed: sum = "Probe frames answered LOADSHED.",
+        /// Malformed frames answered `BAD_REQUEST` (connection then closed).
+        bad_frames: sum = "Malformed frames answered BAD_REQUEST.",
+        /// Connections refused with `BUSY` at the accept gate.
+        busy: sum = "Connections refused BUSY at the accept gate.",
+        /// Probe micro-batches executed (`probes / batches` = mean width).
+        batches: sum = "Probe micro-batches executed.",
+        /// Successful index publishes (`epoch - 1`): full snapshot
+        /// hot-swaps plus delta applies.
+        swaps: sum = "Successful index publishes.",
+        /// Highest queue occupancy observed, in lanes (points). Bounded by
+        /// the server's configured queue depth.
+        queue_high_water_lanes: max = "Highest queue occupancy since start, in lanes.",
+        /// Delta files applied onto the live index (a subset of `swaps` —
+        /// the updates that arrived without remapping the base snapshot).
+        delta_applies: sum = "Delta files applied onto the live index.",
+        /// Transient IO errors hit by the snapshot watcher while statting or
+        /// reading (each one also widens the watcher's retry backoff; they
+        /// are no longer silently treated as "no change").
+        watch_errors: sum = "Transient snapshot-watcher IO errors.",
+        /// Corrupt or wrong-chain delta files the watcher renamed to
+        /// `*.quarantine` and skipped, keeping the current epoch serving.
+        quarantines: sum = "Delta files quarantined by the watcher.",
+        /// Worker-thread panics contained by `catch_unwind`: each one
+        /// poisoned a single batch (its frames were answered `INTERNAL`)
+        /// instead of the process.
+        panics_contained: sum = "Worker panics contained to one batch.",
+        /// Queue high-water mark (lanes) **since the previous flagged STATS
+        /// read** — unlike `queue_high_water_lanes`, which is since server
+        /// start and goes stale after a one-off spike, this one resets to
+        /// the live occupancy baseline on every flagged read, so a
+        /// dashboard sees recent pressure, not history. Plain PING/STATS
+        /// and `/metrics` report it without resetting it.
+        window_high_water_lanes: max =
+            "Highest queue occupancy since the last flagged STATS read, in lanes.",
+        /// Hot-cell cache hits: probed cells answered from the epoch-keyed
+        /// result cache without a trie walk. Zero on servers running with
+        /// the cache disabled.
+        cache_hits: sum = "Probed cells answered from the hot-cell result cache.",
+        /// Hot-cell cache misses: probed cells that walked the trie (and
+        /// filled the cache, when enabled). With the cache disabled both
+        /// cache counters stay zero — a miss is counted only when the cache
+        /// was actually consulted.
+        cache_misses: sum = "Probed cells that missed the hot-cell cache and walked the trie.",
+        /// Probe frames answered `LOADSHED` by the **per-client fairness
+        /// quota** (the connection already had its full admitted-lanes
+        /// budget in flight) rather than by queue depth. Always a subset of
+        /// `shed` — the reconciliation invariant is unchanged.
+        quota_sheds: sum = "Probe frames shed by the per-client fairness quota.",
     }
 }
 
@@ -383,116 +394,48 @@ pub fn dedup_refs(refs: &mut PointRefs) {
     refs.dedup_by_key(|r| r.0);
 }
 
-/// Serialized size of a [`CounterBlock`] as carried by plain PING/STATS:
-/// thirteen `u64` words (protocol version 2 — kept as the default so
-/// version-2 clients parse unflagged replies unchanged).
-pub const COUNTER_BLOCK_LEN: usize = 104;
-
-/// Serialized size of a version-1 counter block: ten `u64` words.
-/// Still accepted by [`decode_counters`], with the newer counters read
-/// as zero.
-pub const COUNTER_BLOCK_LEN_V1: usize = 80;
-
-/// Serialized size of the extended version-3 counter block: fourteen
-/// `u64` words. Still accepted by [`decode_counters`] (the version-4
-/// counters read as zero); flagged STATS now sends the v4 block.
-pub const COUNTER_BLOCK_LEN_V3: usize = 112;
-
-/// Serialized size of the extended (version-4) counter block a flagged
-/// STATS returns: seventeen `u64` words — v3 plus the hot-cell cache
-/// hit/miss counters and the fairness-quota shed counter.
-pub const COUNTER_BLOCK_LEN_V4: usize = 136;
-
-/// Serializes a counter block (plain PING/STATS response payload,
-/// thirteen words — `window_high_water_lanes` is dropped; it travels
-/// only in the extended block).
-pub fn encode_counters(c: &CounterBlock) -> [u8; COUNTER_BLOCK_LEN] {
-    let mut out = [0u8; COUNTER_BLOCK_LEN];
-    for (slot, w) in out.chunks_exact_mut(8).zip(counter_words(c)) {
-        slot.copy_from_slice(&w.to_le_bytes());
+/// Serializes a counter block (the PING/STATS payload and the head of a
+/// flagged-STATS payload): `u32 n`, then the `n` counters as `u64`
+/// words in [`COUNTERS`] order.
+pub fn encode_counters(c: &CounterBlock) -> Vec<u8> {
+    let mut out = Vec::with_capacity(4 + CounterBlock::WORDS * 8);
+    out.extend_from_slice(&(CounterBlock::WORDS as u32).to_le_bytes());
+    for w in c.words() {
+        out.extend_from_slice(&w.to_le_bytes());
     }
     out
 }
 
-/// Serializes the extended seventeen-word counter block (the first part
-/// of a flagged-STATS payload).
-pub fn encode_counters_ex(c: &CounterBlock) -> [u8; COUNTER_BLOCK_LEN_V4] {
-    let mut out = [0u8; COUNTER_BLOCK_LEN_V4];
-    for (slot, w) in out
-        .chunks_exact_mut(8)
-        .zip(counter_words(c).into_iter().chain([
-            c.window_high_water_lanes,
-            c.cache_hits,
-            c.cache_misses,
-            c.quota_sheds,
-        ]))
-    {
-        slot.copy_from_slice(&w.to_le_bytes());
-    }
-    out
-}
-
-/// The thirteen always-present words, in wire order.
-fn counter_words(c: &CounterBlock) -> [u64; 13] {
-    [
-        c.probes,
-        c.accepted,
-        c.answered,
-        c.shed,
-        c.bad_frames,
-        c.busy,
-        c.batches,
-        c.swaps,
-        c.queue_high_water_lanes,
-        c.delta_applies,
-        c.watch_errors,
-        c.quarantines,
-        c.panics_contained,
-    ]
-}
-
-/// Decodes a counter block from a PING/STATS response payload.
-///
-/// Accepts the extended seventeen-word block (v4), the fourteen-word
-/// block (v3), the thirteen-word block (v2), and, for compatibility
-/// with version-1 servers, the old ten-word block; counters a shorter
-/// block lacks decode as zero.
+/// Decodes a PING/STATS payload: exactly one counter block.
 ///
 /// # Errors
 /// A static description of the structural violation.
 pub fn decode_counters(payload: &[u8]) -> Result<CounterBlock, &'static str> {
-    if payload.len() != COUNTER_BLOCK_LEN
-        && payload.len() != COUNTER_BLOCK_LEN_V1
-        && payload.len() != COUNTER_BLOCK_LEN_V3
-        && payload.len() != COUNTER_BLOCK_LEN_V4
-    {
-        return Err(
-            "counter block is not ten (v1), thirteen (v2), fourteen (v3), or seventeen (v4) \
-             u64 words",
-        );
+    let (counters, len) = read_counters(payload)?;
+    if len != payload.len() {
+        return Err("trailing bytes after the counter block");
     }
-    let v2 = payload.len() >= COUNTER_BLOCK_LEN;
-    let v3 = payload.len() >= COUNTER_BLOCK_LEN_V3;
-    let v4 = payload.len() >= COUNTER_BLOCK_LEN_V4;
-    Ok(CounterBlock {
-        probes: u64_at(payload, 0),
-        accepted: u64_at(payload, 8),
-        answered: u64_at(payload, 16),
-        shed: u64_at(payload, 24),
-        bad_frames: u64_at(payload, 32),
-        busy: u64_at(payload, 40),
-        batches: u64_at(payload, 48),
-        swaps: u64_at(payload, 56),
-        queue_high_water_lanes: u64_at(payload, 64),
-        delta_applies: u64_at(payload, 72),
-        watch_errors: if v2 { u64_at(payload, 80) } else { 0 },
-        quarantines: if v2 { u64_at(payload, 88) } else { 0 },
-        panics_contained: if v2 { u64_at(payload, 96) } else { 0 },
-        window_high_water_lanes: if v3 { u64_at(payload, 104) } else { 0 },
-        cache_hits: if v4 { u64_at(payload, 112) } else { 0 },
-        cache_misses: if v4 { u64_at(payload, 120) } else { 0 },
-        quota_sheds: if v4 { u64_at(payload, 128) } else { 0 },
-    })
+    Ok(counters)
+}
+
+/// Reads the counter block at the head of `payload` and returns it with
+/// its length in bytes. Words past this build's table are skipped;
+/// counters the block lacks read as zero.
+fn read_counters(payload: &[u8]) -> Result<(CounterBlock, usize), &'static str> {
+    if payload.len() < 4 {
+        return Err("counter block truncated before its word count");
+    }
+    let n = u32_at(payload, 0) as usize;
+    let len = n
+        .checked_mul(8)
+        .and_then(|b| b.checked_add(4))
+        .filter(|&len| len <= payload.len())
+        .ok_or("counter block claims more words than the payload holds")?;
+    let mut words = [0u64; CounterBlock::WORDS];
+    for (k, w) in words.iter_mut().enumerate().take(n) {
+        *w = u64_at(payload, 4 + k * 8);
+    }
+    Ok((CounterBlock::from_words(words), len))
 }
 
 // ---------------------------------------------------------------------
@@ -552,21 +495,19 @@ pub struct StageHistogram {
 /// future stages while still bounding a hostile frame.
 pub const MAX_WIRE_HISTS: usize = 64;
 
-/// Serializes a flagged-STATS payload: the extended counter block, then
+/// Serializes a flagged-STATS payload: the counter block, then
 /// `u32 n_hists`, then per histogram `{ u8 stage, u8 pad[3], u64 sum,
 /// u32 n_buckets, n_buckets × u64 }`. Bucket arrays are trailing-zero
 /// trimmed by the snapshot, so an idle stage costs 17 bytes.
 pub fn encode_stats_ex_payload(c: &CounterBlock, hists: &[StageHistogram]) -> Vec<u8> {
     assert!(hists.len() <= MAX_WIRE_HISTS, "too many wire histograms");
-    let mut out = Vec::with_capacity(
-        COUNTER_BLOCK_LEN_V4
-            + 4
-            + hists
-                .iter()
-                .map(|h| 16 + h.hist.buckets.len() * 8)
-                .sum::<usize>(),
+    let mut out = encode_counters(c);
+    out.reserve(
+        4 + hists
+            .iter()
+            .map(|h| 16 + h.hist.buckets.len() * 8)
+            .sum::<usize>(),
     );
-    out.extend_from_slice(&encode_counters_ex(c));
     out.extend_from_slice(&(hists.len() as u32).to_le_bytes());
     for h in hists {
         debug_assert!(h.hist.buckets.len() <= act_obs::NUM_BUCKETS);
@@ -581,8 +522,8 @@ pub fn encode_stats_ex_payload(c: &CounterBlock, hists: &[StageHistogram]) -> Ve
     out
 }
 
-/// Decodes a flagged-STATS payload into the extended counter block and
-/// the stage histograms.
+/// Decodes a flagged-STATS payload into the counter block and the stage
+/// histograms.
 ///
 /// # Errors
 /// A static description of the structural violation — truncation at any
@@ -590,15 +531,15 @@ pub fn encode_stats_ex_payload(c: &CounterBlock, hists: &[StageHistogram]) -> Ve
 pub fn decode_stats_ex_payload(
     payload: &[u8],
 ) -> Result<(CounterBlock, Vec<StageHistogram>), &'static str> {
-    if payload.len() < COUNTER_BLOCK_LEN_V4 + 4 {
+    let (counters, at) = read_counters(payload)?;
+    if payload.len() < at + 4 {
         return Err("stats payload truncated before the histogram section");
     }
-    let counters = decode_counters(&payload[..COUNTER_BLOCK_LEN_V4])?;
-    let n_hists = u32_at(payload, COUNTER_BLOCK_LEN_V4) as usize;
+    let n_hists = u32_at(payload, at) as usize;
     if n_hists > MAX_WIRE_HISTS {
         return Err("histogram section claims too many histograms");
     }
-    let mut at = COUNTER_BLOCK_LEN_V4 + 4;
+    let mut at = at + 4;
     let mut hists = Vec::with_capacity(n_hists);
     for _ in 0..n_hists {
         if at + 16 > payload.len() {
@@ -756,7 +697,7 @@ pub fn encode_stats_request() -> Vec<u8> {
 }
 
 /// Renders a stats request with [`FLAG_HISTOGRAMS`] set (the reply
-/// carries the extended counter block + stage histogram section).
+/// carries the counter block + stage histogram section).
 pub fn encode_stats_ex_request() -> Vec<u8> {
     encode_headless_request(OP_STATS, FLAG_HISTOGRAMS)
 }
@@ -1185,10 +1126,7 @@ mod tests {
             watch_errors: 2,
             quarantines: 1,
             panics_contained: 1,
-            window_high_water_lanes: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            quota_sheds: 0,
+            ..Default::default()
         };
         let frame = encode_response(OP_PING, STATUS_OK, 3, 0, &encode_counters(&counters));
         let body = read_frame(&mut frame.as_slice(), usize::MAX)
@@ -1198,69 +1136,13 @@ mod tests {
         assert_eq!(h.epoch, 3);
         assert_eq!(decode_counters(p).unwrap(), counters);
         assert_eq!(counters.accepted, counters.answered + counters.shed);
+        // Uncounted word runs, like the length-keyed blocks of versions
+        // 1–4, are rejected, not misread.
         assert!(decode_counters(&[0; 103]).is_err());
         assert!(decode_counters(&[0; 105]).is_err());
-        // The old nine-word block is rejected, not misread.
         assert!(decode_counters(&[0; 72]).is_err());
-        // Near-miss extended sizes are rejected too.
         assert!(decode_counters(&[0; 135]).is_err());
         assert!(decode_counters(&[0; 137]).is_err());
-    }
-
-    #[test]
-    fn v4_counter_block_roundtrips_and_v3_reads_zeroes() {
-        let counters = CounterBlock {
-            probes: 11,
-            accepted: 5,
-            window_high_water_lanes: 77,
-            cache_hits: 1_000,
-            cache_misses: 13,
-            quota_sheds: 4,
-            ..Default::default()
-        };
-        let full = encode_counters_ex(&counters);
-        assert_eq!(full.len(), COUNTER_BLOCK_LEN_V4);
-        assert_eq!(decode_counters(&full).unwrap(), counters);
-        // A fourteen-word (v3) block still decodes; the cache and quota
-        // counters read as zero.
-        let got = decode_counters(&full[..COUNTER_BLOCK_LEN_V3]).unwrap();
-        assert_eq!(got.window_high_water_lanes, 77);
-        assert_eq!(
-            (got.cache_hits, got.cache_misses, got.quota_sheds),
-            (0, 0, 0)
-        );
-    }
-
-    #[test]
-    fn v1_counter_block_still_decodes() {
-        // A version-1 server sends ten words; the three newer counters
-        // read as zero, everything else lands in its field.
-        let full = encode_counters(&CounterBlock {
-            probes: 9,
-            accepted: 8,
-            answered: 6,
-            shed: 2,
-            delta_applies: 3,
-            watch_errors: 7,
-            quarantines: 7,
-            panics_contained: 7,
-            ..Default::default()
-        });
-        let got = decode_counters(&full[..COUNTER_BLOCK_LEN_V1]).unwrap();
-        assert_eq!(
-            (
-                got.probes,
-                got.accepted,
-                got.answered,
-                got.shed,
-                got.delta_applies
-            ),
-            (9, 8, 6, 2, 3)
-        );
-        assert_eq!(
-            (got.watch_errors, got.quarantines, got.panics_contained),
-            (0, 0, 0)
-        );
     }
 
     #[test]
@@ -1420,13 +1302,12 @@ mod tests {
         assert_eq!(c, counters);
         assert_eq!(h, hists);
         assert_eq!(h[0].hist.count(), 3);
-        // The plain thirteen-word encoding drops the window mark…
-        let plain = decode_counters(&encode_counters(&counters)).unwrap();
-        assert_eq!(plain.window_high_water_lanes, 0);
-        assert_eq!(plain.queue_high_water_lanes, 900);
-        // …and the extended block alone also decodes via decode_counters.
-        let ex = decode_counters(&encode_counters_ex(&counters)).unwrap();
-        assert_eq!(ex, counters);
+        // The plain PING/STATS payload is the same block, window mark
+        // included.
+        assert_eq!(
+            decode_counters(&encode_counters(&counters)).unwrap(),
+            counters
+        );
     }
 
     #[test]
@@ -1439,15 +1320,11 @@ mod tests {
         let good = encode_stats_ex_payload(&counters, &hists);
 
         // Truncation at every boundary is rejected, never misread.
-        for cut in [
-            0,
-            COUNTER_BLOCK_LEN_V3,
-            COUNTER_BLOCK_LEN_V4,
-            COUNTER_BLOCK_LEN_V4 + 2,
-        ] {
+        let head = encode_counters(&counters).len();
+        for cut in [0, 2, head - 8, head, head + 2] {
             assert!(decode_stats_ex_payload(&good[..cut]).is_err(), "cut {cut}");
         }
-        for cut in COUNTER_BLOCK_LEN_V4 + 4..good.len() {
+        for cut in head + 4..good.len() {
             assert!(decode_stats_ex_payload(&good[..cut]).is_err(), "cut {cut}");
         }
         // Trailing bytes.
@@ -1456,17 +1333,16 @@ mod tests {
         assert!(decode_stats_ex_payload(&long).is_err());
         // Oversized histogram count.
         let mut bad = good.clone();
-        bad[COUNTER_BLOCK_LEN_V4..COUNTER_BLOCK_LEN_V4 + 4]
-            .copy_from_slice(&(MAX_WIRE_HISTS as u32 + 1).to_le_bytes());
+        bad[head..head + 4].copy_from_slice(&(MAX_WIRE_HISTS as u32 + 1).to_le_bytes());
         assert!(decode_stats_ex_payload(&bad).is_err());
         // Oversized bucket count.
         let mut bad = good.clone();
-        let n_at = COUNTER_BLOCK_LEN_V4 + 4 + 12;
+        let n_at = head + 4 + 12;
         bad[n_at..n_at + 4].copy_from_slice(&(act_obs::NUM_BUCKETS as u32 + 1).to_le_bytes());
         assert!(decode_stats_ex_payload(&bad).is_err());
         // Nonzero pad.
         let mut bad = good;
-        bad[COUNTER_BLOCK_LEN_V4 + 4 + 1] = 1;
+        bad[head + 4 + 1] = 1;
         assert!(decode_stats_ex_payload(&bad).is_err());
     }
 

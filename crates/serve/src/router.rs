@@ -194,12 +194,19 @@ enum Outcome<T> {
     Internal,
 }
 
-/// Folds a per-shard client failure into the routed vocabulary and
-/// updates the shard's circuit state.
-fn classify(state: &RouterState, shard: usize, err: &ClientError) -> Outcome<proto::ProbeReply> {
+/// Folds one shard's answer into the routed vocabulary and updates the
+/// shard's circuit state.
+fn classify<T>(state: &RouterState, shard: usize, result: Result<T, ClientError>) -> Outcome<T> {
+    let err = match result {
+        Ok(v) => {
+            state.mark_up(shard);
+            return Outcome::Ok(v);
+        }
+        Err(e) => e,
+    };
     // Exhausted wraps the failure that ended the last attempt; the
     // routed meaning is that of the inner error.
-    let last = match err {
+    let last = match &err {
         ClientError::Exhausted { last, .. } => last.as_ref(),
         other => other,
     };
@@ -220,6 +227,77 @@ fn classify(state: &RouterState, shard: usize, err: &ClientError) -> Outcome<pro
             Outcome::Internal
         }
     }
+}
+
+/// Runs `call` once for each shard in `shards` (ascending): inline when
+/// there is only one, else on one scoped thread per shard, where a
+/// panicked call answers `INTERNAL`. Slot `k` of the result holds shard
+/// `k`'s outcome (`None` for shards not asked).
+fn fan_out<T: Send>(
+    clients: &mut [ResilientClient],
+    shards: &[usize],
+    call: impl Fn(usize, &mut ResilientClient) -> Outcome<T> + Sync,
+) -> Vec<Option<Outcome<T>>> {
+    let mut outcomes: Vec<Option<Outcome<T>>> = clients.iter().map(|_| None).collect();
+    if let [k] = *shards {
+        outcomes[k] = Some(call(k, &mut clients[k]));
+        return outcomes;
+    }
+    let call = &call;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = clients
+            .iter_mut()
+            .enumerate()
+            .filter(|(k, _)| shards.contains(k))
+            .map(|(k, client)| (k, scope.spawn(move || call(k, client))))
+            .collect();
+        for (k, h) in handles {
+            outcomes[k] = Some(h.join().unwrap_or(Outcome::Internal));
+        }
+    });
+    outcomes
+}
+
+/// Worst status wins: `UNSUPPORTED`, then `INTERNAL`, then `LOADSHED`
+/// with the largest retry hint. `Err` is that reply frame, echoing `op`;
+/// `Ok` holds every shard's answer (`None` for shards not asked).
+fn fold<T>(op: u8, outcomes: Vec<Option<Outcome<T>>>) -> Result<Vec<Option<T>>, Vec<u8>> {
+    let mut unsupported = false;
+    let mut internal = false;
+    let mut shed_hint: Option<u32> = None;
+    let mut oks = Vec::with_capacity(outcomes.len());
+    for o in outcomes {
+        oks.push(match o {
+            Some(Outcome::Ok(v)) => Some(v),
+            Some(Outcome::Shed(h)) => {
+                shed_hint = Some(shed_hint.map_or(h, |x| x.max(h)));
+                None
+            }
+            Some(Outcome::Unsupported) => {
+                unsupported = true;
+                None
+            }
+            Some(Outcome::Internal) => {
+                internal = true;
+                None
+            }
+            None => None,
+        });
+    }
+    let (status, payload) = if unsupported {
+        (proto::STATUS_UNSUPPORTED, Vec::new())
+    } else if internal {
+        (proto::STATUS_INTERNAL, Vec::new())
+    } else if let Some(hint) = shed_hint {
+        let hint = hint.clamp(proto::RETRY_AFTER_MIN_MS, proto::RETRY_AFTER_MAX_MS);
+        (
+            proto::STATUS_LOADSHED,
+            proto::encode_retry_hint(hint).to_vec(),
+        )
+    } else {
+        return Ok(oks);
+    };
+    Err(proto::encode_response(op, status, 0, 0, &payload))
 }
 
 /// Spawns scatter-gather routers over a shard fleet.
@@ -551,11 +629,10 @@ fn route_request(
     match req {
         proto::Request::Probe { coords, exact } => route_probe(state, clients, &coords, exact),
         proto::Request::ProbeCells { cells } => route_probe_cells(state, clients, &cells),
-        proto::Request::Ping => route_counters(state, clients, proto::OP_PING),
-        proto::Request::Stats { histograms: false } => {
-            route_counters(state, clients, proto::OP_STATS)
+        proto::Request::Ping => route_counters(state, clients, proto::OP_PING, false),
+        proto::Request::Stats { histograms } => {
+            route_counters(state, clients, proto::OP_STATS, histograms)
         }
-        proto::Request::Stats { histograms: true } => route_stats_ex(state, clients),
         proto::Request::Dump => route_dump(state, clients),
     }
 }
@@ -624,94 +701,45 @@ where
         per_shard[s].push(p);
     }
 
-    let mut outcomes: Vec<Option<Outcome<proto::ProbeReply>>> = (0..n).map(|_| None).collect();
-    let shard_probe = |k: usize, client: &mut ResilientClient, pts: &[P]| {
-        if let Some(hint) = state.down_hint(k) {
-            return Outcome::Shed(hint);
-        }
-        match send(client, pts) {
-            Ok(reply) => {
-                state.mark_up(k);
-                Outcome::Ok(reply)
-            }
-            Err(e) => classify(state, k, &e),
-        }
-    };
-    let participating = per_shard.iter().filter(|p| !p.is_empty()).count();
+    let shards: Vec<usize> = (0..n).filter(|&k| !per_shard[k].is_empty()).collect();
     if let Some(t) = &state.trace {
         t.sampled(
             "admission",
             &[
                 ("lanes", points.len() as u64),
-                ("shards", participating as u64),
+                ("shards", shards.len() as u64),
                 ("exact", u64::from(exact)),
             ],
         );
     }
-    if participating == 1 {
-        // Single-owner frame (the common case under geographic
-        // locality): answer inline, no scatter threads to pay for.
-        // Every point has the same owner, so the first point's owner
-        // *is* the shard — no searching, nothing to `expect`, and a
-        // connection thread that cannot panic on a routing assertion.
-        let k = owner[0];
-        outcomes[k] = Some(shard_probe(k, &mut clients[k], &per_shard[k]));
-    } else {
-        let shard_probe = &shard_probe;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (k, client) in clients.iter_mut().enumerate() {
-                let pts = &per_shard[k];
-                if pts.is_empty() {
-                    continue;
-                }
-                handles.push((k, scope.spawn(move || shard_probe(k, client, pts))));
-            }
-            for (k, h) in handles {
-                outcomes[k] = Some(h.join().unwrap_or(Outcome::Internal));
-            }
-        });
-    }
-
-    // Worst status wins; OK's epoch is the minimum participating epoch.
-    let mut unsupported = false;
-    let mut internal = false;
-    let mut shed_hint: Option<u32> = None;
-    let mut epoch = u32::MAX;
-    for o in outcomes.iter().flatten() {
-        match o {
-            Outcome::Ok(reply) => epoch = epoch.min(reply.epoch),
-            Outcome::Shed(h) => shed_hint = Some(shed_hint.map_or(*h, |x| x.max(*h))),
-            Outcome::Unsupported => unsupported = true,
-            Outcome::Internal => internal = true,
+    // A single-owner frame (the common case under geographic locality)
+    // is answered inline, with no scatter threads to pay for.
+    let outcomes = fan_out(clients, &shards, |k, client| {
+        if let Some(hint) = state.down_hint(k) {
+            return Outcome::Shed(hint);
         }
-    }
-    if unsupported {
-        return proto::encode_response(proto::OP_PROBE, proto::STATUS_UNSUPPORTED, 0, 0, &[]);
-    }
-    if internal {
-        return proto::encode_response(proto::OP_PROBE, proto::STATUS_INTERNAL, 0, 0, &[]);
-    }
-    if let Some(hint) = shed_hint {
-        let hint = hint.clamp(proto::RETRY_AFTER_MIN_MS, proto::RETRY_AFTER_MAX_MS);
-        return proto::encode_response(
-            proto::OP_PROBE,
-            proto::STATUS_LOADSHED,
-            0,
-            0,
-            &proto::encode_retry_hint(hint),
-        );
-    }
+        classify(state, k, send(client, &per_shard[k]))
+    });
+    let replies = match fold(proto::OP_PROBE, outcomes) {
+        Ok(replies) => replies,
+        Err(frame) => return frame,
+    };
+    // OK's epoch is the minimum participating epoch.
+    let epoch = replies
+        .iter()
+        .flatten()
+        .map(|r| r.epoch)
+        .min()
+        .unwrap_or(u32::MAX);
 
     // Gather: walk the request order, pulling each point's answer from
     // its owning shard's sub-reply (which preserved sub-batch order).
     let mut cursors = vec![0usize; n];
     let mut payload = Vec::new();
     for &s in &owner {
-        let reply = match &outcomes[s] {
-            Some(Outcome::Ok(r)) => r,
-            _ => unreachable!("owning shard answered OK — statuses handled above"),
-        };
+        let reply = replies[s]
+            .as_ref()
+            .expect("every owning shard took part and answered OK");
         let mut refs = reply.refs[cursors[s]].clone();
         cursors[s] += 1;
         proto::dedup_refs(&mut refs);
@@ -731,156 +759,56 @@ where
 
 /// PING/STATS fan out to every shard — bypassing cooldowns, so
 /// monitoring sees ground truth and a recovered shard is noticed — and
-/// merge into one fleet-wide counter block (min epoch).
-fn route_counters(state: &RouterState, clients: &mut [ResilientClient], op: u8) -> Vec<u8> {
-    let mut outcomes: Vec<Option<Outcome<(u32, CounterBlock)>>> =
-        (0..state.num_shards()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (k, client) in clients.iter_mut().enumerate() {
-            handles.push((
-                k,
-                scope.spawn(move || {
-                    let result = if op == proto::OP_PING {
-                        client.ping().map(|r| (r.epoch, r.counters))
-                    } else {
-                        client.stats().map(|r| (r.epoch, r.counters))
-                    };
-                    match result {
-                        Ok(ok) => {
-                            state.mark_up(k);
-                            Outcome::Ok(ok)
-                        }
-                        Err(e) => match classify(state, k, &e) {
-                            Outcome::Ok(_) => unreachable!("classify never constructs Ok"),
-                            Outcome::Shed(h) => Outcome::Shed(h),
-                            Outcome::Unsupported => Outcome::Unsupported,
-                            Outcome::Internal => Outcome::Internal,
-                        },
-                    }
-                }),
-            ));
-        }
-        for (k, h) in handles {
-            outcomes[k] = Some(h.join().unwrap_or(Outcome::Internal));
-        }
+/// merge into one fleet-wide counter block (min epoch) via
+/// [`CounterBlock::merge`]. A flagged STATS (`histograms`) also merges
+/// the stage histograms via [`proto::merge_stage_histograms`]
+/// (bucket-wise sums, which is exactly how log-bucketed histograms
+/// compose). Worst status wins, as everywhere else on the router.
+fn route_counters(
+    state: &RouterState,
+    clients: &mut [ResilientClient],
+    op: u8,
+    histograms: bool,
+) -> Vec<u8> {
+    let all: Vec<usize> = (0..state.num_shards()).collect();
+    let outcomes = fan_out(clients, &all, |k, client| {
+        let reply = if histograms {
+            client.stats_ex()
+        } else if op == proto::OP_PING {
+            client.ping().map(|r| stats_ex_of(r.epoch, r.counters))
+        } else {
+            client.stats().map(|r| stats_ex_of(r.epoch, r.counters))
+        };
+        classify(state, k, reply)
     });
-
-    let mut merged = CounterBlock::default();
-    let mut unsupported = false;
-    let mut internal = false;
-    let mut shed_hint: Option<u32> = None;
-    let mut epoch = u32::MAX;
-    for o in outcomes.iter().flatten() {
-        match o {
-            Outcome::Ok((e, c)) => {
-                epoch = epoch.min(*e);
-                merged.merge(c);
-            }
-            Outcome::Shed(h) => shed_hint = Some(shed_hint.map_or(*h, |x| x.max(*h))),
-            Outcome::Unsupported => unsupported = true,
-            Outcome::Internal => internal = true,
-        }
-    }
-    if unsupported {
-        return proto::encode_response(op, proto::STATUS_UNSUPPORTED, 0, 0, &[]);
-    }
-    if internal {
-        return proto::encode_response(op, proto::STATUS_INTERNAL, 0, 0, &[]);
-    }
-    if let Some(hint) = shed_hint {
-        let hint = hint.clamp(proto::RETRY_AFTER_MIN_MS, proto::RETRY_AFTER_MAX_MS);
-        return proto::encode_response(
-            op,
-            proto::STATUS_LOADSHED,
-            0,
-            0,
-            &proto::encode_retry_hint(hint),
-        );
-    }
-    proto::encode_response(
-        op,
-        proto::STATUS_OK,
-        epoch,
-        0,
-        &proto::encode_counters(&merged),
-    )
-}
-
-/// The flagged (v3) STATS fan-out: every shard's extended counters and
-/// stage histograms, merged — counters via [`CounterBlock::merge`]
-/// (sums, with both high-water marks taking the fleet **max**),
-/// histograms via [`proto::merge_stage_histograms`] (bucket-wise sums,
-/// which is exactly how log-bucketed histograms compose). Worst status
-/// wins, as everywhere else on the router.
-fn route_stats_ex(state: &RouterState, clients: &mut [ResilientClient]) -> Vec<u8> {
-    let mut outcomes: Vec<Option<Outcome<proto::StatsExReply>>> =
-        (0..state.num_shards()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (k, client) in clients.iter_mut().enumerate() {
-            handles.push((
-                k,
-                scope.spawn(move || match client.stats_ex() {
-                    Ok(r) => {
-                        state.mark_up(k);
-                        Outcome::Ok(r)
-                    }
-                    Err(e) => match classify(state, k, &e) {
-                        Outcome::Ok(_) => unreachable!("classify never constructs Ok"),
-                        Outcome::Shed(h) => Outcome::Shed(h),
-                        Outcome::Unsupported => Outcome::Unsupported,
-                        Outcome::Internal => Outcome::Internal,
-                    },
-                }),
-            ));
-        }
-        for (k, h) in handles {
-            outcomes[k] = Some(h.join().unwrap_or(Outcome::Internal));
-        }
-    });
-
+    let replies = match fold(op, outcomes) {
+        Ok(replies) => replies,
+        Err(frame) => return frame,
+    };
     let mut merged = CounterBlock::default();
     let mut hists: Vec<proto::StageHistogram> = Vec::new();
-    let mut unsupported = false;
-    let mut internal = false;
-    let mut shed_hint: Option<u32> = None;
     let mut epoch = u32::MAX;
-    for o in outcomes.iter().flatten() {
-        match o {
-            Outcome::Ok(r) => {
-                epoch = epoch.min(r.epoch);
-                merged.merge(&r.counters);
-                proto::merge_stage_histograms(&mut hists, &r.histograms);
-            }
-            Outcome::Shed(h) => shed_hint = Some(shed_hint.map_or(*h, |x| x.max(*h))),
-            Outcome::Unsupported => unsupported = true,
-            Outcome::Internal => internal = true,
-        }
+    for r in replies.iter().flatten() {
+        epoch = epoch.min(r.epoch);
+        merged.merge(&r.counters);
+        proto::merge_stage_histograms(&mut hists, &r.histograms);
     }
-    if unsupported {
-        return proto::encode_response(proto::OP_STATS, proto::STATUS_UNSUPPORTED, 0, 0, &[]);
-    }
-    if internal {
-        return proto::encode_response(proto::OP_STATS, proto::STATUS_INTERNAL, 0, 0, &[]);
-    }
-    if let Some(hint) = shed_hint {
-        let hint = hint.clamp(proto::RETRY_AFTER_MIN_MS, proto::RETRY_AFTER_MAX_MS);
-        return proto::encode_response(
-            proto::OP_STATS,
-            proto::STATUS_LOADSHED,
-            0,
-            0,
-            &proto::encode_retry_hint(hint),
-        );
-    }
-    proto::encode_response(
-        proto::OP_STATS,
-        proto::STATUS_OK,
+    let payload = if histograms {
+        proto::encode_stats_ex_payload(&merged, &hists)
+    } else {
+        proto::encode_counters(&merged)
+    };
+    proto::encode_response(op, proto::STATUS_OK, epoch, 0, &payload)
+}
+
+/// A plain PING/STATS answer in the flagged reply's shape (no
+/// histograms), so one merge serves both.
+fn stats_ex_of(epoch: u32, counters: CounterBlock) -> proto::StatsExReply {
+    proto::StatsExReply {
         epoch,
-        0,
-        &proto::encode_stats_ex_payload(&merged, &hists),
-    )
+        counters,
+        histograms: Vec::new(),
+    }
 }
 
 /// DUMP fan-out: the router's own trace (sampled admissions + breaker
@@ -892,43 +820,22 @@ fn route_stats_ex(state: &RouterState, clients: &mut [ResilientClient]) -> Vec<u
 /// shards are skipped too: a dump is a diagnostic window, and a partial
 /// window beats a fleet-wide error while one shard restarts.
 fn route_dump(state: &RouterState, clients: &mut [ResilientClient]) -> Vec<u8> {
-    let mut parts: Vec<Option<String>> = (0..state.num_shards()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (k, client) in clients.iter_mut().enumerate() {
-            handles.push((
-                k,
-                scope.spawn(move || match client.dump() {
-                    Ok(lines) => {
-                        state.mark_up(k);
-                        Some(lines)
-                    }
-                    Err(e) => {
-                        // UNSUPPORTED means alive-without-obs, not sick.
-                        if !matches!(
-                            &e,
-                            ClientError::Server {
-                                status: proto::STATUS_UNSUPPORTED,
-                                ..
-                            }
-                        ) {
-                            classify(state, k, &e);
-                        }
-                        None
-                    }
-                }),
-            ));
-        }
-        for (k, h) in handles {
-            parts[k] = h.join().unwrap_or(None);
-        }
-    });
+    let all: Vec<usize> = (0..state.num_shards()).collect();
+    // UNSUPPORTED means alive-without-obs, not sick: `classify` leaves
+    // the breaker alone for it.
+    let parts: Vec<String> = fan_out(clients, &all, |k, client| classify(state, k, client.dump()))
+        .into_iter()
+        .filter_map(|o| match o {
+            Some(Outcome::Ok(lines)) => Some(lines),
+            _ => None,
+        })
+        .collect();
     let own = state.trace.as_ref().map(|t| t.dump_json_lines());
-    if own.is_none() && parts.iter().all(Option::is_none) {
+    if own.is_none() && parts.is_empty() {
         return proto::encode_response(proto::OP_DUMP, proto::STATUS_UNSUPPORTED, 0, 0, &[]);
     }
     let mut lines = own.unwrap_or_default();
-    for p in parts.into_iter().flatten() {
+    for p in parts {
         lines.push_str(&p);
     }
     proto::encode_response(proto::OP_DUMP, proto::STATUS_OK, 0, 0, lines.as_bytes())

@@ -210,45 +210,6 @@ impl Default for ServeConfig {
     }
 }
 
-/// Aggregate serving counters (see [`ServerHandle::stats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServeStats {
-    /// Probe points answered.
-    pub probes: u64,
-    /// Frames handled (accepted + malformed).
-    pub requests: u64,
-    /// Micro-batches executed (probes / batches = achieved batch width).
-    pub batches: u64,
-    /// Current snapshot epoch (1 + successful hot-swaps).
-    pub epoch: u32,
-    /// Well-formed frames taken in (probe/ping/stats, shed included).
-    pub accepted: u64,
-    /// Frames answered with a real (non-LOADSHED) reply.
-    pub answered: u64,
-    /// Probe frames answered `LOADSHED`.
-    pub shed: u64,
-    /// Malformed frames answered `BAD_REQUEST`.
-    pub bad_frames: u64,
-    /// Connections refused `BUSY` at the accept gate.
-    pub busy: u64,
-    /// Highest queue occupancy observed, in lanes (≤ configured depth).
-    pub queue_high_water_lanes: u64,
-    /// Worker panics contained by `catch_unwind` (each poisoned exactly
-    /// one batch, answered `INTERNAL`).
-    pub panics_contained: u64,
-    /// Transient IO errors hit by the snapshot watcher.
-    pub watch_errors: u64,
-    /// Corrupt/wrong-chain delta files quarantined by the watcher.
-    pub quarantines: u64,
-    /// Probed cells answered from the hot-cell cache (0 with no cache).
-    pub cache_hits: u64,
-    /// Probed cells that missed the cache and walked the trie.
-    pub cache_misses: u64,
-    /// Probe frames shed by the per-client fairness quota (a subset of
-    /// `shed`).
-    pub quota_sheds: u64,
-}
-
 /// One enqueued probe request.
 struct Job {
     cells: Vec<CellId>,
@@ -350,7 +311,7 @@ impl State {
         }
     }
 
-    /// The extended-stats payload for a flagged STATS reply: current
+    /// The payload for a flagged STATS reply: current
     /// counters with the **windowed** high-water mark taken (reset to
     /// zero — documented semantics of the flagged read) plus every stage
     /// histogram (empty section with observability off).
@@ -524,27 +485,9 @@ impl ServerHandle {
         self.state.store.epoch()
     }
 
-    /// Aggregate serving counters so far.
-    pub fn stats(&self) -> ServeStats {
-        let c = self.state.counter_block();
-        ServeStats {
-            probes: c.probes,
-            requests: c.accepted + c.bad_frames,
-            batches: c.batches,
-            epoch: self.state.store.epoch(),
-            accepted: c.accepted,
-            answered: c.answered,
-            shed: c.shed,
-            bad_frames: c.bad_frames,
-            busy: c.busy,
-            queue_high_water_lanes: c.queue_high_water_lanes,
-            panics_contained: c.panics_contained,
-            watch_errors: c.watch_errors,
-            quarantines: c.quarantines,
-            cache_hits: c.cache_hits,
-            cache_misses: c.cache_misses,
-            quota_sheds: c.quota_sheds,
-        }
+    /// Aggregate serving counters so far (the block PING/STATS carry).
+    pub fn stats(&self) -> proto::CounterBlock {
+        self.state.counter_block()
     }
 
     /// The sampled trace ring's current window as JSON lines, oldest
@@ -579,7 +522,7 @@ impl ServerHandle {
     /// that care about ordering — and it returns the **final** counters,
     /// captured after the drain, so work answered during the drain is
     /// included (a pre-shutdown `stats()` call would undercount it).
-    pub fn shutdown(mut self) -> ServeStats {
+    pub fn shutdown(mut self) -> proto::CounterBlock {
         self.stop();
         self.stats()
     }
@@ -869,7 +812,7 @@ fn reader_loop(
                 }
             }
             Ok(proto::Request::Stats { histograms: true }) => {
-                // The flagged (v3) read: extended counter block plus the
+                // The flagged read: counter block plus the
                 // stage-histogram section, and the windowed high-water
                 // mark is consumed (reset) by this read.
                 state.accepted.fetch_add(1, Ordering::Relaxed);

@@ -1,6 +1,6 @@
 //! Property tests for the wire protocol's admission-control and
-//! resilience surfaces: counter-block serialization across every
-//! protocol version (v1 × v2 × v3 × v4 compatibility matrix), response
+//! resilience surfaces: the count-prefixed counter block (round trip,
+//! older and newer peers' blocks, typed rejection of short ones), response
 //! framing across every status (LOADSHED/BUSY included), the
 //! retry-after hint those two statuses carry, the header-only request
 //! ops (PING, STATS plain and flagged, DUMP), probe request round
@@ -13,25 +13,8 @@ use geom::Coord;
 use proptest::prelude::*;
 
 fn arb_counters() -> impl Strategy<Value = proto::CounterBlock> {
-    proptest::collection::vec(any::<u64>(), 17).prop_map(|w| proto::CounterBlock {
-        probes: w[0],
-        accepted: w[1],
-        answered: w[2],
-        shed: w[3],
-        bad_frames: w[4],
-        busy: w[5],
-        batches: w[6],
-        swaps: w[7],
-        queue_high_water_lanes: w[8],
-        delta_applies: w[9],
-        watch_errors: w[10],
-        quarantines: w[11],
-        panics_contained: w[12],
-        window_high_water_lanes: w[13],
-        cache_hits: w[14],
-        cache_misses: w[15],
-        quota_sheds: w[16],
-    })
+    proptest::collection::vec(any::<u64>(), proto::CounterBlock::WORDS)
+        .prop_map(|w| proto::CounterBlock::from_words(w.try_into().expect("one word per row")))
 }
 
 fn arb_status() -> impl Strategy<Value = u8> {
@@ -65,77 +48,70 @@ fn arb_hist() -> impl Strategy<Value = proto::StageHistogram> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The version compatibility matrix in one property. A v4 (extended,
-    /// 17-word) block's prefixes ARE the older blocks: decoding the
-    /// first 80 bytes is the v1 read (newer counters zero), the first
-    /// 104 the v2 read (windowed mark zero), the first 112 the v3 read
-    /// (cache/quota counters zero), and the full 136 returns every
-    /// field — so any client version reading any server version's
-    /// block sees exactly the fields its protocol knows, never garbage.
+    /// A counter block round-trips, and it is the whole payload: a
+    /// trailing byte after it is a typed error.
     #[test]
-    fn counter_block_version_matrix(c in arb_counters()) {
-        let v4 = proto::encode_counters_ex(&c);
-        prop_assert_eq!(v4.len(), proto::COUNTER_BLOCK_LEN_V4);
-
-        // v4 → v4: bit-for-bit.
-        prop_assert_eq!(proto::decode_counters(&v4).unwrap(), c);
-
-        // v4 → v3 prefix: everything but the cache/quota counters.
-        prop_assert_eq!(
-            proto::decode_counters(&v4[..proto::COUNTER_BLOCK_LEN_V3]).unwrap(),
-            proto::CounterBlock { cache_hits: 0, cache_misses: 0, quota_sheds: 0, ..c }
-        );
-
-        // v4 → v2 prefix: the plain block, windowed mark zeroed too.
-        // The plain encoder emits exactly this prefix.
-        let v2 = proto::encode_counters(&c);
-        prop_assert_eq!(v2.len(), proto::COUNTER_BLOCK_LEN);
-        prop_assert_eq!(&v4[..proto::COUNTER_BLOCK_LEN], &v2[..]);
-        prop_assert_eq!(
-            proto::decode_counters(&v2).unwrap(),
-            proto::CounterBlock {
-                window_high_water_lanes: 0,
-                cache_hits: 0,
-                cache_misses: 0,
-                quota_sheds: 0,
-                ..c
-            }
-        );
-
-        // v4 → v1 prefix: the ten legacy counters, everything newer zero.
-        let v1 = proto::decode_counters(&v4[..proto::COUNTER_BLOCK_LEN_V1]).unwrap();
-        prop_assert_eq!(
-            v1,
-            proto::CounterBlock {
-                watch_errors: 0,
-                quarantines: 0,
-                panics_contained: 0,
-                window_high_water_lanes: 0,
-                cache_hits: 0,
-                cache_misses: 0,
-                quota_sheds: 0,
-                ..c
-            }
-        );
-    }
-
-    /// Any length that is not exactly a v1, v2, v3, or v4 block is a
-    /// typed error, never a garbage decode.
-    #[test]
-    fn counter_block_rejects_wrong_lengths(
-        c in arb_counters(),
-        cut in 0usize..proto::COUNTER_BLOCK_LEN_V4,
-    ) {
-        let bytes = proto::encode_counters_ex(&c);
-        if cut != proto::COUNTER_BLOCK_LEN_V1
-            && cut != proto::COUNTER_BLOCK_LEN
-            && cut != proto::COUNTER_BLOCK_LEN_V3
-        {
-            prop_assert!(proto::decode_counters(&bytes[..cut]).is_err());
-        }
-        let mut long = bytes.to_vec();
+    fn counter_block_roundtrips(c in arb_counters()) {
+        let bytes = proto::encode_counters(&c);
+        prop_assert_eq!(bytes.len(), 4 + 8 * proto::CounterBlock::WORDS);
+        prop_assert_eq!(proto::decode_counters(&bytes).unwrap(), c);
+        let mut long = bytes;
         long.push(0);
         prop_assert!(proto::decode_counters(&long).is_err());
+    }
+
+    /// A newer peer's block (more words than this build's table, `n`
+    /// raised to match) decodes to the same counters: the extra words
+    /// are skipped.
+    #[test]
+    fn counter_block_skips_newer_words(
+        c in arb_counters(),
+        extra in proptest::collection::vec(any::<u64>(), 1..8),
+    ) {
+        let mut bytes = proto::encode_counters(&c);
+        let n = (proto::CounterBlock::WORDS + extra.len()) as u32;
+        bytes[..4].copy_from_slice(&n.to_le_bytes());
+        for w in &extra {
+            bytes.extend_from_slice(&w.to_le_bytes());
+        }
+        prop_assert_eq!(proto::decode_counters(&bytes).unwrap(), c);
+    }
+
+    /// An older peer's block (cut to its first `m` words, `n = m`)
+    /// decodes those words and reads every later counter as zero.
+    #[test]
+    fn counter_block_zero_fills_older_blocks(
+        c in arb_counters(),
+        m in 0usize..proto::CounterBlock::WORDS,
+    ) {
+        let mut bytes = proto::encode_counters(&c);
+        bytes.truncate(4 + 8 * m);
+        bytes[..4].copy_from_slice(&(m as u32).to_le_bytes());
+        let got = proto::decode_counters(&bytes).unwrap().words();
+        let want = c.words();
+        prop_assert_eq!(&got[..m], &want[..m]);
+        prop_assert!(got[m..].iter().all(|&w| w == 0));
+    }
+
+    /// An `n` claiming more words than the payload holds is a typed
+    /// error — as a plain block and at the head of a flagged-STATS
+    /// payload — never a short read or an allocation.
+    #[test]
+    fn counter_block_rejects_overlong_count(
+        c in arb_counters(),
+        cut in 1usize..=8 * proto::CounterBlock::WORDS,
+        huge in any::<bool>(),
+    ) {
+        let mut bytes = proto::encode_counters(&c);
+        bytes.truncate(bytes.len() - cut);
+        prop_assert!(proto::decode_counters(&bytes).is_err());
+        if huge {
+            bytes[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+            prop_assert!(proto::decode_counters(&bytes).is_err());
+        }
+        let mut ex = proto::encode_stats_ex_payload(&c, &[]);
+        ex.truncate(4 + 8 * proto::CounterBlock::WORDS - cut);
+        prop_assert!(proto::decode_stats_ex_payload(&ex).is_err());
     }
 
     /// Response frames round-trip for every status the server can send —
@@ -198,9 +174,8 @@ proptest! {
         prop_assert!((proto::RETRY_AFTER_MIN_MS..=proto::RETRY_AFTER_MAX_MS).contains(&ms));
     }
 
-    /// PING and plain STATS responses carry a decodable counter block
-    /// whatever the counter values are (and drop the windowed mark —
-    /// that field travels only in the flagged reply).
+    /// PING and plain STATS responses carry the full counter block
+    /// whatever the counter values are.
     #[test]
     fn ping_and_stats_replies_roundtrip(c in arb_counters(), epoch in any::<u32>()) {
         for op in [proto::OP_PING, proto::OP_STATS] {
@@ -208,16 +183,7 @@ proptest! {
             let body = proto::read_frame(&mut frame.as_slice(), usize::MAX).unwrap().unwrap();
             let (h, p) = proto::decode_response(&body).unwrap();
             prop_assert_eq!((h.op, h.status, h.epoch, h.n), (op, proto::STATUS_OK, epoch, 0));
-            prop_assert_eq!(
-                proto::decode_counters(p).unwrap(),
-                proto::CounterBlock {
-                    window_high_water_lanes: 0,
-                    cache_hits: 0,
-                    cache_misses: 0,
-                    quota_sheds: 0,
-                    ..c
-                }
-            );
+            prop_assert_eq!(proto::decode_counters(p).unwrap(), c);
         }
     }
 
@@ -287,10 +253,10 @@ proptest! {
         extra in 1u32..1000,
     ) {
         // n_hists over the cap.
+        let head = proto::encode_counters(&c).len();
         let mut p = proto::encode_stats_ex_payload(&c, &[]);
         let n = proto::MAX_WIRE_HISTS as u32 + extra;
-        p[proto::COUNTER_BLOCK_LEN_V4..proto::COUNTER_BLOCK_LEN_V4 + 4]
-            .copy_from_slice(&n.to_le_bytes());
+        p[head..head + 4].copy_from_slice(&n.to_le_bytes());
         prop_assert!(proto::decode_stats_ex_payload(&p).is_err());
 
         // n_buckets over the format's bucket count.
@@ -299,7 +265,7 @@ proptest! {
             hist: act_obs::HistogramSnapshot { sum: 0, buckets: vec![1] },
         };
         let mut p = proto::encode_stats_ex_payload(&c, &[hist]);
-        let at = proto::COUNTER_BLOCK_LEN_V4 + 4 + 12; // n_buckets field
+        let at = head + 4 + 12; // n_buckets field
         let n = act_obs::NUM_BUCKETS as u32 + extra;
         p[at..at + 4].copy_from_slice(&n.to_le_bytes());
         prop_assert!(proto::decode_stats_ex_payload(&p).is_err());
@@ -318,8 +284,9 @@ proptest! {
             stage: 1,
             hist: act_obs::HistogramSnapshot { sum: 9, buckets: vec![2, 0, 1] },
         };
+        let head = proto::encode_counters(&c).len();
         let mut p = proto::encode_stats_ex_payload(&c, &[hist]);
-        p[proto::COUNTER_BLOCK_LEN_V4 + 4 + 1 + which] = byte;
+        p[head + 4 + 1 + which] = byte;
         prop_assert!(proto::decode_stats_ex_payload(&p).is_err());
     }
 
