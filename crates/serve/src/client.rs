@@ -139,7 +139,7 @@ impl Client {
         coords: &[Coord],
         exact: bool,
     ) -> Result<proto::ProbeReply, ClientError> {
-        self.probe_request(&proto::encode_probe_request(coords, exact), coords.len())
+        self.call(&Call::probe(coords, exact))
     }
 
     /// Probes a batch of pre-computed S2 leaf cells ([`proto::FLAG_CELLS`]):
@@ -153,7 +153,7 @@ impl Client {
     /// # Panics
     /// Panics if `cells` exceeds [`proto::MAX_POINTS`].
     pub fn probe_cells(&mut self, cells: &[CellId]) -> Result<proto::ProbeReply, ClientError> {
-        self.probe_request(&proto::encode_probe_cells_request(cells), cells.len())
+        self.call(&Call::probe_cells(cells))
     }
 
     /// Liveness check: returns the serving epoch and the counter block
@@ -162,13 +162,8 @@ impl Client {
     /// # Errors
     /// As [`Client::probe`].
     pub fn ping(&mut self) -> Result<proto::PingReply, ClientError> {
-        let (h, payload) = self.request(&proto::encode_ping_request(), proto::OP_PING)?;
-        let counters = proto::decode_counters(&payload).map_err(ClientError::Protocol)?;
-        Ok(proto::PingReply {
-            epoch: h.epoch,
-            probes_served: counters.probes,
-            counters,
-        })
+        self.call(&Call::counters(proto::OP_PING, false))
+            .map(ping_reply)
     }
 
     /// Counter/metrics snapshot (the monitoring twin of [`Client::ping`]).
@@ -177,12 +172,8 @@ impl Client {
     /// # Errors
     /// As [`Client::probe`].
     pub fn stats(&mut self) -> Result<proto::StatsReply, ClientError> {
-        let (h, payload) = self.request(&proto::encode_stats_request(), proto::OP_STATS)?;
-        let counters = proto::decode_counters(&payload).map_err(ClientError::Protocol)?;
-        Ok(proto::StatsReply {
-            epoch: h.epoch,
-            counters,
-        })
+        self.call(&Call::counters(proto::OP_STATS, false))
+            .map(stats_reply)
     }
 
     /// The **flagged** stats read: the counter block — including the
@@ -193,14 +184,7 @@ impl Client {
     /// # Errors
     /// As [`Client::probe`].
     pub fn stats_ex(&mut self) -> Result<proto::StatsExReply, ClientError> {
-        let (h, payload) = self.request(&proto::encode_stats_ex_request(), proto::OP_STATS)?;
-        let (counters, histograms) =
-            proto::decode_stats_ex_payload(&payload).map_err(ClientError::Protocol)?;
-        Ok(proto::StatsExReply {
-            epoch: h.epoch,
-            counters,
-            histograms,
-        })
+        self.call(&Call::counters(proto::OP_STATS, true))
     }
 
     /// Dumps the server's sampled trace ring as JSON lines (oldest event
@@ -210,31 +194,25 @@ impl Client {
     /// # Errors
     /// As [`Client::probe`].
     pub fn dump(&mut self) -> Result<String, ClientError> {
-        let (_, payload) = self.request(&proto::encode_dump_request(), proto::OP_DUMP)?;
-        String::from_utf8(payload).map_err(|_| ClientError::Protocol("trace dump is not UTF-8"))
+        self.call(&Call::dump())
     }
 
-    /// Sends a probe frame of `n` points and decodes its per-point refs.
-    fn probe_request(&mut self, frame: &[u8], n: usize) -> Result<proto::ProbeReply, ClientError> {
-        let (h, payload) = self.request(frame, proto::OP_PROBE)?;
-        if h.n as usize != n {
-            return Err(ClientError::Protocol("response point count mismatch"));
-        }
-        let refs = proto::decode_probe_payload(h.n, &payload).map_err(ClientError::Protocol)?;
-        Ok(proto::ProbeReply {
-            epoch: h.epoch,
-            refs,
-        })
+    /// One exchange: [`Client::send`], then [`Client::recv`].
+    fn call<T>(&mut self, call: &Call<T>) -> Result<T, ClientError> {
+        self.send(call)?;
+        self.recv(call)
     }
 
-    /// One exchange: writes `frame`, reads the reply, and returns its
-    /// header and payload once the status is OK and the op echoes `op`.
-    fn request(
-        &mut self,
-        frame: &[u8],
-        op: u8,
-    ) -> Result<(proto::RespHeader, Vec<u8>), ClientError> {
-        self.stream.write_all(frame)?;
+    /// The write half of an exchange: puts `call`'s frame on the wire
+    /// and returns without waiting for the reply.
+    fn send<T>(&mut self, call: &Call<T>) -> Result<(), ClientError> {
+        self.stream.write_all(&call.frame)?;
+        Ok(())
+    }
+
+    /// The read half: reads one reply and decodes it with `call`'s
+    /// decoder once the status is OK and the op echoes the request.
+    fn recv<T>(&mut self, call: &Call<T>) -> Result<T, ClientError> {
         let body = proto::read_frame(&mut self.stream, MAX_RESP_BODY)?
             .ok_or(ClientError::Protocol("connection closed mid-conversation"))?;
         let (h, payload) = proto::decode_response(&body).map_err(ClientError::Protocol)?;
@@ -244,12 +222,114 @@ impl Client {
         if h.status != proto::STATUS_OK {
             return Err(server_error(h.status, payload));
         }
-        if h.op != op {
+        if h.op != call.op {
             return Err(ClientError::Protocol(
                 "response op does not echo the request",
             ));
         }
-        Ok((h, payload.to_vec()))
+        (call.decode)(h, payload)
+    }
+}
+
+/// One request as a retry loop needs it: the frame to (re)send, the op
+/// its reply must echo, and the decoder for an OK reply's header and
+/// payload.
+pub(crate) struct Call<T> {
+    frame: Vec<u8>,
+    op: u8,
+    decode: Decode<T>,
+}
+
+/// Turns an OK reply's header and payload into the caller's answer.
+type Decode<T> = Box<dyn Fn(proto::RespHeader, &[u8]) -> Result<T, ClientError>>;
+
+impl Call<proto::ProbeReply> {
+    /// A coordinate probe frame ([`Client::probe`]).
+    pub(crate) fn probe(coords: &[Coord], exact: bool) -> Self {
+        Self::probe_frame(proto::encode_probe_request(coords, exact), coords.len())
+    }
+
+    /// A cell probe frame ([`Client::probe_cells`]).
+    pub(crate) fn probe_cells(cells: &[CellId]) -> Self {
+        Self::probe_frame(proto::encode_probe_cells_request(cells), cells.len())
+    }
+
+    /// A probe frame of `n` points, whose reply must answer all `n`.
+    fn probe_frame(frame: Vec<u8>, n: usize) -> Self {
+        Call {
+            frame,
+            op: proto::OP_PROBE,
+            decode: Box::new(move |h, payload| {
+                if h.n as usize != n {
+                    return Err(ClientError::Protocol("response point count mismatch"));
+                }
+                let refs =
+                    proto::decode_probe_payload(h.n, payload).map_err(ClientError::Protocol)?;
+                Ok(proto::ProbeReply {
+                    epoch: h.epoch,
+                    refs,
+                })
+            }),
+        }
+    }
+}
+
+impl Call<proto::StatsExReply> {
+    /// PING (`op` = [`proto::OP_PING`]) or STATS, flagged with
+    /// [`proto::FLAG_HISTOGRAMS`] when `histograms`. Every form decodes to
+    /// the flagged reply's shape; a plain read has no histograms.
+    pub(crate) fn counters(op: u8, histograms: bool) -> Self {
+        let frame = match (op, histograms) {
+            (proto::OP_PING, _) => proto::encode_ping_request(),
+            (_, false) => proto::encode_stats_request(),
+            (_, true) => proto::encode_stats_ex_request(),
+        };
+        Call {
+            frame,
+            op,
+            decode: Box::new(move |h, payload| {
+                let (counters, histograms) = if histograms {
+                    proto::decode_stats_ex_payload(payload)
+                } else {
+                    proto::decode_counters(payload).map(|c| (c, Vec::new()))
+                }
+                .map_err(ClientError::Protocol)?;
+                Ok(proto::StatsExReply {
+                    epoch: h.epoch,
+                    counters,
+                    histograms,
+                })
+            }),
+        }
+    }
+}
+
+impl Call<String> {
+    /// A DUMP frame ([`Client::dump`]).
+    pub(crate) fn dump() -> Self {
+        Call {
+            frame: proto::encode_dump_request(),
+            op: proto::OP_DUMP,
+            decode: Box::new(|_, payload| {
+                String::from_utf8(payload.to_vec())
+                    .map_err(|_| ClientError::Protocol("trace dump is not UTF-8"))
+            }),
+        }
+    }
+}
+
+fn ping_reply(r: proto::StatsExReply) -> proto::PingReply {
+    proto::PingReply {
+        epoch: r.epoch,
+        probes_served: r.counters.probes,
+        counters: r.counters,
+    }
+}
+
+fn stats_reply(r: proto::StatsExReply) -> proto::StatsReply {
+    proto::StatsReply {
+        epoch: r.epoch,
+        counters: r.counters,
     }
 }
 
@@ -394,7 +474,7 @@ impl ResilientClient {
         coords: &[Coord],
         exact: bool,
     ) -> Result<proto::ProbeReply, ClientError> {
-        self.with_retries(|c| c.probe(coords, exact))
+        self.call(&Call::probe(coords, exact))
     }
 
     /// [`Client::probe_cells`] with retries per the policy.
@@ -405,7 +485,7 @@ impl ResilientClient {
     /// # Panics
     /// Panics if `cells` exceeds [`proto::MAX_POINTS`].
     pub fn probe_cells(&mut self, cells: &[CellId]) -> Result<proto::ProbeReply, ClientError> {
-        self.with_retries(|c| c.probe_cells(cells))
+        self.call(&Call::probe_cells(cells))
     }
 
     /// [`Client::ping`] with retries per the policy.
@@ -413,7 +493,8 @@ impl ResilientClient {
     /// # Errors
     /// As [`ResilientClient::probe`].
     pub fn ping(&mut self) -> Result<proto::PingReply, ClientError> {
-        self.with_retries(Client::ping)
+        self.call(&Call::counters(proto::OP_PING, false))
+            .map(ping_reply)
     }
 
     /// [`Client::stats`] with retries per the policy.
@@ -421,7 +502,8 @@ impl ResilientClient {
     /// # Errors
     /// As [`ResilientClient::probe`].
     pub fn stats(&mut self) -> Result<proto::StatsReply, ClientError> {
-        self.with_retries(Client::stats)
+        self.call(&Call::counters(proto::OP_STATS, false))
+            .map(stats_reply)
     }
 
     /// [`Client::stats_ex`] with retries per the policy.
@@ -429,7 +511,7 @@ impl ResilientClient {
     /// # Errors
     /// As [`ResilientClient::probe`].
     pub fn stats_ex(&mut self) -> Result<proto::StatsExReply, ClientError> {
-        self.with_retries(Client::stats_ex)
+        self.call(&Call::counters(proto::OP_STATS, true))
     }
 
     /// [`Client::dump`] with retries per the policy.
@@ -437,23 +519,44 @@ impl ResilientClient {
     /// # Errors
     /// As [`ResilientClient::probe`].
     pub fn dump(&mut self) -> Result<String, ClientError> {
-        self.with_retries(Client::dump)
+        self.call(&Call::dump())
     }
 
-    fn with_retries<T>(
+    /// One request with retries: [`ResilientClient::send`] as attempt 1,
+    /// then [`ResilientClient::finish`].
+    fn call<T>(&mut self, call: &Call<T>) -> Result<T, ClientError> {
+        let started = Instant::now();
+        let sent = self.send(call);
+        self.finish(started, sent, call)
+    }
+
+    /// Attempt 1's write half: dials if needed and writes `call`'s frame
+    /// without reading the reply. A caller talking to several servers
+    /// writes every frame first and then finishes each in turn, so the
+    /// servers work in parallel while their replies wait in the socket
+    /// buffers.
+    pub(crate) fn send<T>(&mut self, call: &Call<T>) -> Result<(), ClientError> {
+        self.ensure_conn()?.send(call)
+    }
+
+    /// Completes a request whose attempt 1 began at `started` with
+    /// [`ResilientClient::send`] (its result is `sent`): reads the reply,
+    /// then retries per the policy — same attempt count, hint-honoring
+    /// backoff and deadline as if the whole request had run here.
+    pub(crate) fn finish<T>(
         &mut self,
-        mut op: impl FnMut(&mut Client) -> Result<T, ClientError>,
+        started: Instant,
+        sent: Result<(), ClientError>,
+        call: &Call<T>,
     ) -> Result<T, ClientError> {
-        let start = Instant::now();
-        let deadline = self.policy.deadline.map(|d| start + d);
+        let deadline = self.policy.deadline.map(|d| started + d);
         let attempts_cap = self.policy.max_attempts.max(1);
-        let mut attempt = 0u32;
+        let mut attempt = 1u32;
+        let mut result = sent.and_then(|()| match self.conn.as_mut() {
+            Some(conn) => conn.recv(call),
+            None => Err(ClientError::Protocol("no request in flight")),
+        });
         loop {
-            attempt += 1;
-            let result = match self.ensure_conn() {
-                Ok(conn) => op(conn),
-                Err(e) => Err(e),
-            };
             let err = match result {
                 Ok(v) => return Ok(v),
                 Err(e) => e,
@@ -514,6 +617,8 @@ impl ResilientClient {
                 self.backoff_slept += sleep;
             }
             self.retries += 1;
+            attempt += 1;
+            result = self.ensure_conn().and_then(|conn| conn.call(call));
         }
     }
 

@@ -239,6 +239,17 @@ impl Faults {
     }
 }
 
+/// Held by every test in this crate that arms a plan. Arming resets
+/// mmapio's process-global hook, so an arm on another test thread could
+/// erase the budget `mmap_budget_arms_the_mmapio_hook` is draining, and
+/// that test's loop would then never end.
+#[cfg(test)]
+pub(crate) fn arm_lock() -> std::sync::MutexGuard<'static, ()> {
+    static ARM: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    ARM.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -252,6 +263,7 @@ mod tests {
 
     #[test]
     fn specs_fire_deterministically_on_schedule() {
+        let _arm = arm_lock();
         let faults = FaultPlan::new(7)
             .with(FaultSpec {
                 site: Site::WorkerPanic,
@@ -275,6 +287,7 @@ mod tests {
 
     #[test]
     fn actions_match_sites() {
+        let _arm = arm_lock();
         let all = FaultPlan::new(1)
             .stall(Duration::from_millis(8))
             .with(FaultSpec {
@@ -312,6 +325,7 @@ mod tests {
 
     #[test]
     fn same_seed_same_stalls() {
+        let _arm = arm_lock();
         let mk = || {
             FaultPlan::new(42)
                 .stall(Duration::from_millis(20))
@@ -331,6 +345,7 @@ mod tests {
 
     #[test]
     fn mmap_budget_arms_the_mmapio_hook() {
+        let _arm = arm_lock();
         let faults = FaultPlan::new(3)
             .with(FaultSpec {
                 site: Site::MmapOpen,

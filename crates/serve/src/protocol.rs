@@ -380,13 +380,15 @@ counter_table! {
     }
 }
 
-/// Canonicalizes one point's reference list after a scatter-gather
-/// merge: sorted by polygon id, one entry per id, a true hit winning
-/// over a candidate. Coarse indexed cells replicated across shards can
-/// make two shards report the same polygon for one point; the answers
-/// only ever differ in multiplicity, never in the hit bit, but the
-/// true-hit-wins rule makes the merge safe even against a stale
-/// replica mid-rolling-swap.
+/// Canonicalizes one point's reference list: sorted by polygon id, one
+/// entry per id, a true hit winning over a candidate. The router takes
+/// each point's refs from the one shard that owns it, so two shards never
+/// report for the same point — coarse-cell replication only means several
+/// shards *hold* a copy. What this guards against is a single reply that
+/// is not canonical (a worker on another build, or any peer that lists a
+/// polygon twice or out of order), so a routed answer always has the
+/// single-process shape; true-hit-wins means canonicalizing never
+/// weakens a hit.
 pub fn dedup_refs(refs: &mut PointRefs) {
     // Sort so `(id, true)` precedes `(id, false)`, then keep the first
     // entry of each id.

@@ -10,16 +10,24 @@
 //!
 //! ## One probe frame, end to end
 //!
-//! 1. **Partition**: each point's leaf cell names its owning shard via
-//!    `shard_of_cell` — the single routing authority the sharder also
-//!    used, so the owning shard holds every indexed cell whose territory
-//!    covers the point (coarse cells were replicated at split time).
-//! 2. **Scatter**: the per-shard sub-batches go out concurrently over
-//!    this connection's pooled [`ResilientClient`]s (one per shard,
-//!    retries/backoff/reconnect per the policy).
-//! 3. **Gather**: sub-replies are stitched back in request order; each
-//!    point's refs pass through [`crate::protocol::dedup_refs`] so
-//!    replicated coarse cells can never double-report a polygon.
+//! 1. **Partition**: each point's leaf cell — converted once here for a
+//!    coordinate frame, read straight off a cell frame — names its owning
+//!    shard via `shard_of_cell`, the single routing authority the sharder
+//!    also used, so the owning shard holds every indexed cell whose
+//!    territory covers the point (coarse cells were replicated at split
+//!    time).
+//! 2. **Scatter**: each owning shard gets one sub-frame over this
+//!    connection's pooled [`ResilientClient`]s. Approximate sub-frames
+//!    carry those same cells ([`proto::FLAG_CELLS`]), so no worker
+//!    converts a point again; exact sub-frames carry the coordinates,
+//!    which refinement needs. Every sub-frame is written before any reply
+//!    is read: the shards work in parallel while their replies wait in
+//!    the socket buffers, so no thread is spawned. Each read then resumes
+//!    that shard's retry loop (backoff/reconnect per the policy) from the
+//!    pipelined first attempt. PING, STATS and DUMP take the same path.
+//! 3. **Gather**: sub-replies are stitched back in request order, each
+//!    point's refs moved out of its owner's reply and canonicalized by
+//!    [`crate::protocol::dedup_refs`].
 //!
 //! ## Failure semantics
 //!
@@ -40,12 +48,13 @@
 //! epoch reported as the **minimum** shard epoch (the conservative
 //! answer to "has everyone swapped yet?").
 
-use crate::client::{ClientError, ResilientClient, RetryPolicy};
+use crate::client::{Call, ClientError, ResilientClient, RetryPolicy};
 use crate::obs::{render_counters, render_histograms, render_trace_meta, ObsConfig};
 use crate::protocol::{self as proto, CounterBlock};
 use act_core::{coord_to_cell, shard_of_cell, DEFAULT_SPLIT_LEVEL};
 use act_obs::{PromText, TraceRing};
 use geom::Coord;
+use s2cell::CellId;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -229,33 +238,44 @@ fn classify<T>(state: &RouterState, shard: usize, result: Result<T, ClientError>
     }
 }
 
-/// Runs `call` once for each shard in `shards` (ascending): inline when
-/// there is only one, else on one scoped thread per shard, where a
-/// panicked call answers `INTERNAL`. Slot `k` of the result holds shard
-/// `k`'s outcome (`None` for shards not asked).
-fn fan_out<T: Send>(
+/// Write-all-then-read-all over the pool: writes `calls[k]`'s frame to
+/// shard `k` for every shard asked (`Some`), then reads each reply in
+/// shard order, resuming that client's retry loop from the pipelined
+/// first attempt. With `honor_cooldown`, a shard cooling down is not
+/// written to and sheds with its remaining cooldown as the hint. Slot
+/// `k` of the result holds shard `k`'s outcome (`None` for shards not
+/// asked).
+fn scatter<T>(
+    state: &RouterState,
     clients: &mut [ResilientClient],
-    shards: &[usize],
-    call: impl Fn(usize, &mut ResilientClient) -> Outcome<T> + Sync,
+    calls: &[Option<Call<T>>],
+    honor_cooldown: bool,
 ) -> Vec<Option<Outcome<T>>> {
-    let mut outcomes: Vec<Option<Outcome<T>>> = clients.iter().map(|_| None).collect();
-    if let [k] = *shards {
-        outcomes[k] = Some(call(k, &mut clients[k]));
-        return outcomes;
-    }
-    let call = &call;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = clients
-            .iter_mut()
-            .enumerate()
-            .filter(|(k, _)| shards.contains(k))
-            .map(|(k, client)| (k, scope.spawn(move || call(k, client))))
-            .collect();
-        for (k, h) in handles {
-            outcomes[k] = Some(h.join().unwrap_or(Outcome::Internal));
-        }
-    });
-    outcomes
+    let started = Instant::now();
+    let sent: Vec<_> = calls
+        .iter()
+        .zip(clients.iter_mut())
+        .enumerate()
+        .map(|(k, (call, client))| {
+            let call = call.as_ref()?;
+            Some(match honor_cooldown.then(|| state.down_hint(k)).flatten() {
+                Some(hint) => Err(hint),
+                None => Ok(client.send(call)),
+            })
+        })
+        .collect();
+    calls
+        .iter()
+        .zip(clients)
+        .zip(sent)
+        .enumerate()
+        .map(|(k, ((call, client), sent))| {
+            Some(match sent? {
+                Err(hint) => Outcome::Shed(hint),
+                Ok(sent) => classify(state, k, client.finish(started, sent, call.as_ref()?)),
+            })
+        })
+        .collect()
 }
 
 /// Worst status wins: `UNSUPPORTED`, then `INTERNAL`, then `LOADSHED`
@@ -627,8 +647,11 @@ fn route_request(
     req: proto::Request,
 ) -> Vec<u8> {
     match req {
-        proto::Request::Probe { coords, exact } => route_probe(state, clients, &coords, exact),
-        proto::Request::ProbeCells { cells } => route_probe_cells(state, clients, &cells),
+        proto::Request::Probe { coords, exact } => {
+            let cells: Vec<CellId> = coords.iter().map(|&c| coord_to_cell(c)).collect();
+            route_probe(state, clients, &cells, exact.then_some(coords.as_slice()))
+        }
+        proto::Request::ProbeCells { cells } => route_probe(state, clients, &cells, None),
         proto::Request::Ping => route_counters(state, clients, proto::OP_PING, false),
         proto::Request::Stats { histograms } => {
             route_counters(state, clients, proto::OP_STATS, histograms)
@@ -637,90 +660,49 @@ fn route_request(
     }
 }
 
-/// Partition → scatter → gather for one coordinate probe frame (module
-/// docs tell the full story).
+/// Partition → scatter → gather for one probe frame (module docs tell
+/// the full story). `cells` are the points' leaf cells, which pick each
+/// point's shard and travel downstream as a cell frame; an exact frame
+/// passes its coordinates as `exact`, and those travel instead.
 fn route_probe(
     state: &RouterState,
     clients: &mut [ResilientClient],
-    coords: &[Coord],
-    exact: bool,
+    cells: &[CellId],
+    exact: Option<&[Coord]>,
 ) -> Vec<u8> {
-    route_probe_frames(
-        state,
-        clients,
-        coords,
-        exact,
-        coord_to_cell,
-        |client, pts| client.probe(pts, exact),
-    )
-}
-
-/// [`route_probe`] for the cell form ([`proto::FLAG_CELLS`]): shard
-/// ownership comes straight off the cell id — no conversion anywhere on
-/// the router — and the scatter forwards cell frames downstream so the
-/// workers skip the conversion too.
-fn route_probe_cells(
-    state: &RouterState,
-    clients: &mut [ResilientClient],
-    cells: &[s2cell::CellId],
-) -> Vec<u8> {
-    route_probe_frames(
-        state,
-        clients,
-        cells,
-        false,
-        |c| c,
-        |client, pts| client.probe_cells(pts),
-    )
-}
-
-/// The shared partition → scatter → gather engine behind both probe
-/// forms; `to_cell` derives shard ownership, `send` forwards one
-/// shard's sub-batch in whatever frame form arrived.
-fn route_probe_frames<P, F>(
-    state: &RouterState,
-    clients: &mut [ResilientClient],
-    points: &[P],
-    exact: bool,
-    to_cell: impl Fn(P) -> s2cell::CellId,
-    send: F,
-) -> Vec<u8>
-where
-    P: Copy + Sync,
-    F: Fn(&mut ResilientClient, &[P]) -> Result<proto::ProbeReply, crate::ClientError> + Sync,
-{
     let n = state.num_shards();
-    if points.is_empty() {
+    if cells.is_empty() {
         return proto::encode_response(proto::OP_PROBE, proto::STATUS_OK, 0, 0, &[]);
     }
-    let mut per_shard: Vec<Vec<P>> = (0..n).map(|_| Vec::new()).collect();
-    let mut owner = Vec::with_capacity(points.len());
-    for &p in points {
-        let s = shard_of_cell(to_cell(p), state.split_level, n);
+    let mut owner = Vec::with_capacity(cells.len());
+    let mut sub: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for (i, &c) in cells.iter().enumerate() {
+        let s = shard_of_cell(c, state.split_level, n);
         owner.push(s);
-        per_shard[s].push(p);
+        sub[s].push(i);
     }
-
-    let shards: Vec<usize> = (0..n).filter(|&k| !per_shard[k].is_empty()).collect();
+    let calls: Vec<_> = sub
+        .iter()
+        .map(|idx| {
+            (!idx.is_empty()).then(|| match exact {
+                Some(coords) => {
+                    Call::probe(&idx.iter().map(|&i| coords[i]).collect::<Vec<_>>(), true)
+                }
+                None => Call::probe_cells(&idx.iter().map(|&i| cells[i]).collect::<Vec<_>>()),
+            })
+        })
+        .collect();
     if let Some(t) = &state.trace {
         t.sampled(
             "admission",
             &[
-                ("lanes", points.len() as u64),
-                ("shards", shards.len() as u64),
-                ("exact", u64::from(exact)),
+                ("lanes", cells.len() as u64),
+                ("shards", calls.iter().flatten().count() as u64),
+                ("exact", u64::from(exact.is_some())),
             ],
         );
     }
-    // A single-owner frame (the common case under geographic locality)
-    // is answered inline, with no scatter threads to pay for.
-    let outcomes = fan_out(clients, &shards, |k, client| {
-        if let Some(hint) = state.down_hint(k) {
-            return Outcome::Shed(hint);
-        }
-        classify(state, k, send(client, &per_shard[k]))
-    });
-    let replies = match fold(proto::OP_PROBE, outcomes) {
+    let mut replies = match fold(proto::OP_PROBE, scatter(state, clients, &calls, true)) {
         Ok(replies) => replies,
         Err(frame) => return frame,
     };
@@ -732,15 +714,21 @@ where
         .min()
         .unwrap_or(u32::MAX);
 
-    // Gather: walk the request order, pulling each point's answer from
+    // Gather: walk the request order, moving each point's answer out of
     // its owning shard's sub-reply (which preserved sub-batch order).
+    let refs_total: usize = replies
+        .iter()
+        .flatten()
+        .flat_map(|r| &r.refs)
+        .map(Vec::len)
+        .sum();
     let mut cursors = vec![0usize; n];
-    let mut payload = Vec::new();
+    let mut payload = Vec::with_capacity(4 * (cells.len() + refs_total));
     for &s in &owner {
         let reply = replies[s]
-            .as_ref()
+            .as_mut()
             .expect("every owning shard took part and answered OK");
-        let mut refs = reply.refs[cursors[s]].clone();
+        let mut refs = std::mem::take(&mut reply.refs[cursors[s]]);
         cursors[s] += 1;
         proto::dedup_refs(&mut refs);
         payload.extend_from_slice(&(refs.len() as u32).to_le_bytes());
@@ -752,7 +740,7 @@ where
         proto::OP_PROBE,
         proto::STATUS_OK,
         epoch,
-        points.len() as u32,
+        cells.len() as u32,
         &payload,
     )
 }
@@ -770,18 +758,10 @@ fn route_counters(
     op: u8,
     histograms: bool,
 ) -> Vec<u8> {
-    let all: Vec<usize> = (0..state.num_shards()).collect();
-    let outcomes = fan_out(clients, &all, |k, client| {
-        let reply = if histograms {
-            client.stats_ex()
-        } else if op == proto::OP_PING {
-            client.ping().map(|r| stats_ex_of(r.epoch, r.counters))
-        } else {
-            client.stats().map(|r| stats_ex_of(r.epoch, r.counters))
-        };
-        classify(state, k, reply)
-    });
-    let replies = match fold(op, outcomes) {
+    let calls: Vec<_> = (0..state.num_shards())
+        .map(|_| Some(Call::counters(op, histograms)))
+        .collect();
+    let replies = match fold(op, scatter(state, clients, &calls, false)) {
         Ok(replies) => replies,
         Err(frame) => return frame,
     };
@@ -801,16 +781,6 @@ fn route_counters(
     proto::encode_response(op, proto::STATUS_OK, epoch, 0, &payload)
 }
 
-/// A plain PING/STATS answer in the flagged reply's shape (no
-/// histograms), so one merge serves both.
-fn stats_ex_of(epoch: u32, counters: CounterBlock) -> proto::StatsExReply {
-    proto::StatsExReply {
-        epoch,
-        counters,
-        histograms: Vec::new(),
-    }
-}
-
 /// DUMP fan-out: the router's own trace (sampled admissions + breaker
 /// transitions) first, then
 /// each answering shard's trace window, in shard order (each line is a
@@ -820,10 +790,12 @@ fn stats_ex_of(epoch: u32, counters: CounterBlock) -> proto::StatsExReply {
 /// shards are skipped too: a dump is a diagnostic window, and a partial
 /// window beats a fleet-wide error while one shard restarts.
 fn route_dump(state: &RouterState, clients: &mut [ResilientClient]) -> Vec<u8> {
-    let all: Vec<usize> = (0..state.num_shards()).collect();
+    let calls: Vec<_> = (0..state.num_shards())
+        .map(|_| Some(Call::dump()))
+        .collect();
     // UNSUPPORTED means alive-without-obs, not sick: `classify` leaves
     // the breaker alone for it.
-    let parts: Vec<String> = fan_out(clients, &all, |k, client| classify(state, k, client.dump()))
+    let parts: Vec<String> = scatter(state, clients, &calls, false)
         .into_iter()
         .filter_map(|o| match o {
             Some(Outcome::Ok(lines)) => Some(lines),
@@ -840,3 +812,6 @@ fn route_dump(state: &RouterState, clients: &mut [ResilientClient]) -> Vec<u8> {
     }
     proto::encode_response(proto::OP_DUMP, proto::STATUS_OK, 0, 0, lines.as_bytes())
 }
+
+#[cfg(test)]
+mod tests;

@@ -237,6 +237,9 @@ struct Reply {
 /// The bounded probe queue. `lanes` mirrors the summed `cells.len()` of
 /// `jobs` so admission is O(1); both live under one mutex so admission,
 /// batch formation, and the drain-exit check are linearized.
+/// No update under the lock can panic halfway, so a poisoned lock still
+/// guards a consistent queue: every taker recovers it via
+/// [`PoisonError::into_inner`] rather than dying with it.
 struct Queue {
     jobs: VecDeque<Job>,
     lanes: usize,
@@ -537,7 +540,11 @@ impl ServerHandle {
         // notify_all after that worker reaches wait() — no lost wakeup,
         // no join() deadlock.
         {
-            let _guard = self.state.queue.lock().expect("probe queue");
+            let _guard = self
+                .state
+                .queue
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             self.state.ready.notify_all();
         }
         for t in self.threads.drain(..) {
@@ -549,7 +556,7 @@ impl ServerHandle {
         // Accept loop is down: the connection set is final. Join it (the
         // workers above drained the queue first, so every pending reply
         // the connections are flushing already exists).
-        let conns = std::mem::take(&mut *self.conns.lock().expect("conns lock"));
+        let conns = std::mem::take(&mut *self.conns.lock().unwrap_or_else(PoisonError::into_inner));
         for c in conns {
             let _ = c.join();
         }
@@ -600,7 +607,7 @@ fn accept_loop(
                         conn_loop(stream, &st);
                     })
                     .expect("spawn connection thread");
-                let mut guard = conns.lock().expect("conns lock");
+                let mut guard = conns.lock().unwrap_or_else(PoisonError::into_inner);
                 guard.push(handle);
                 // Reap finished connections so a long-lived server's
                 // handle list doesn't grow without bound.
@@ -649,7 +656,7 @@ enum Admission {
 fn try_enqueue(state: &State, job: Job) -> Admission {
     let lanes = job.cells.len();
     {
-        let mut q = state.queue.lock().expect("probe queue");
+        let mut q = state.queue.lock().unwrap_or_else(PoisonError::into_inner);
         if state.draining.load(Ordering::Acquire) {
             return Admission::Draining;
         }
@@ -1200,7 +1207,7 @@ fn fill(r: &mut TcpStream, buf: &mut [u8], state: &State, dead: &AtomicBool) -> 
 fn worker_loop(state: &State) {
     loop {
         let batch = {
-            let mut q = state.queue.lock().expect("probe queue");
+            let mut q = state.queue.lock().unwrap_or_else(PoisonError::into_inner);
             loop {
                 if !q.jobs.is_empty() {
                     // Jobs outrank drain: an accepted frame is owed its
@@ -1210,7 +1217,7 @@ fn worker_loop(state: &State) {
                 if state.draining.load(Ordering::Acquire) {
                     return;
                 }
-                q = state.ready.wait(q).expect("probe queue wait");
+                q = state.ready.wait(q).unwrap_or_else(PoisonError::into_inner);
             }
             // Adaptive micro-batch: drain until the queue is empty or
             // the lane budget is met. A single over-budget job still
@@ -1544,5 +1551,71 @@ mod tests {
             777,
             "poison must not masquerade as an empty queue"
         );
+    }
+
+    /// The worker takes the queue lock outside `catch_unwind`, so a panic
+    /// anywhere under that lock used to poison it for good: each worker
+    /// died at its next `lock`/`wait`, and shutdown wedged. Every taker
+    /// now recovers the lock, so the server keeps answering and stops.
+    #[test]
+    fn server_answers_and_stops_through_queue_lock_poison() {
+        let square = geom::Polygon::new(
+            geom::Ring::new(vec![
+                Coord::new(-74.02, 40.68),
+                Coord::new(-73.98, 40.68),
+                Coord::new(-73.98, 40.72),
+                Coord::new(-74.02, 40.72),
+            ]),
+            vec![],
+        );
+        let idx = act_core::ActIndex::build(&[square], 15.0).unwrap();
+        let mut bytes = Vec::new();
+        idx.save_snapshot(&mut bytes).unwrap();
+        let path = std::env::temp_dir().join(format!(
+            "act-serve-test-{}-queue-poison.snap",
+            std::process::id()
+        ));
+        std::fs::write(&path, bytes).unwrap();
+        let server = Server::spawn(
+            &path,
+            ServeConfig {
+                watch: None,
+                ..ServeConfig::default()
+            },
+        )
+        .unwrap();
+        let coords: Vec<Coord> = (0..64)
+            .map(|k| Coord::new(-74.05 + 0.001 * f64::from(k), 40.70))
+            .collect();
+        let want: Vec<proto::PointRefs> = coords.iter().map(|&c| idx.lookup_refs(c)).collect();
+        let mut client = crate::Client::connect(server.addr()).unwrap();
+        // A dead worker pool would leave probes unanswered: fail, not hang.
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        assert_eq!(client.probe(&coords, false).unwrap().refs, want);
+
+        let state = Arc::clone(&server.state);
+        let _ = std::thread::spawn(move || {
+            let _guard = state.queue.lock().expect("first lock of a healthy mutex");
+            panic!("poison the queue lock (deliberate)");
+        })
+        .join();
+        assert!(
+            server.state.queue.lock().is_err(),
+            "the lock must actually be poisoned"
+        );
+        for _ in 0..4 {
+            assert_eq!(client.probe(&coords, false).unwrap().refs, want);
+        }
+        drop(client);
+
+        let (done, stopped) = mpsc::channel();
+        std::thread::spawn(move || done.send(server.shutdown()).unwrap());
+        let counters = stopped
+            .recv_timeout(Duration::from_secs(10))
+            .expect("shutdown must return through the poisoned lock");
+        assert_eq!(counters.probes, 5 * coords.len() as u64);
+        let _ = std::fs::remove_file(&path);
     }
 }

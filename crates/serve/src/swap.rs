@@ -1063,7 +1063,8 @@ mod tests {
     #[cfg(feature = "fault-injection")]
     #[test]
     fn watcher_counts_stat_errors_and_recovers() {
-        use crate::faults::{FaultPlan, FaultSpec};
+        use crate::faults::{arm_lock, FaultPlan, FaultSpec};
+        let _arm = arm_lock();
         let path = snap_file("staterr", &[square(-74.0, 40.7, 0.02)]);
         let store = Arc::new(IndexStore::new(MappedSnapshot::open(&path).unwrap()));
         let shutdown = Arc::new(AtomicBool::new(false));
